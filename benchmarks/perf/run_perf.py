@@ -19,7 +19,10 @@ Times the hot paths of the repository and writes/compares baselines:
   fault-free chaos campaign (30 s at 500 Hz), serial ``run_trial`` loop
   vs the vectorized :func:`repro.chaos.ensemble.run_trials_ensemble`
   group, with cross-engine fingerprint, ``verify_replay``, and
-  steady-state allocation-budget checks.
+  steady-state allocation-budget checks; plus a campaign-group width
+  curve (one ensemble group of 1/8/16/32/64 generated campaign trials per
+  ``use_ekf`` partition, at the CLI's 200 Hz, 10 s flights), the measured
+  basis of :func:`repro.chaos.runner.ensemble_groups`.
 
 Each scalar-vs-batch pair records its speedup; the grid speedup is gated
 by ``--min-speedup``, the SLAM/platform kernel speedups by
@@ -57,7 +60,7 @@ from harness import (
     write_baseline,
 )
 
-from repro.chaos.campaign import CampaignConfig, TrialSpec
+from repro.chaos.campaign import CampaignConfig, TrialSpec, generate_campaign
 from repro.chaos.ensemble import run_trials_ensemble
 from repro.chaos.runner import TrialResult, run_trial, verify_replay
 from repro.core.batch import evaluate_batch
@@ -116,6 +119,16 @@ ENSEMBLE_REPLAY_SAMPLES = 2
 SCALAR_STEP_CONSTRUCTION_BUDGET = 6.0
 ENSEMBLE_STEP_CONSTRUCTION_BUDGET = 12.0
 ALLOC_CHECK_LANES = 16
+
+#: Campaign-group width curve: one ensemble group of ``width`` trials of a
+#: generated chaos campaign (faults, defections and all), per ``use_ekf``
+#: partition, at the CLI defaults' physics rate.  Flat per-group cost
+#: across widths is why campaigns fly the fewest, widest groups.
+WIDTH_CURVE_WIDTHS = (1, 8, 16, 32, 64)
+WIDTH_CURVE_DURATION_S = 10.0
+WIDTH_CURVE_RUNS = 3
+#: Trials generated to fill both partitions up to the widest group.
+WIDTH_CURVE_POOL_TRIALS = 256
 
 SUITES = ("sweep", "sim", "slam", "platform")
 
@@ -294,6 +307,35 @@ def ensemble_workloads(
         ),
     ]
     return results, scalar_results, ensemble_results
+
+
+def width_curve_workloads(runs: int, warmup: int) -> List[TimingResult]:
+    """One campaign ensemble group per width and ``use_ekf`` partition."""
+    config = CampaignConfig(
+        campaign_seed=2021,
+        trials=WIDTH_CURVE_POOL_TRIALS,
+        duration_s=WIDTH_CURVE_DURATION_S,
+    )
+    specs = generate_campaign(config)
+    results = []
+    for use_ekf, label in ((False, "group"), (True, "ekf_group")):
+        partition = [spec for spec in specs if spec.use_ekf is use_ekf]
+        if len(partition) < max(WIDTH_CURVE_WIDTHS):
+            raise RuntimeError(
+                f"{len(partition)} use_ekf={use_ekf} trials generated, "
+                f"need {max(WIDTH_CURVE_WIDTHS)}"
+            )
+        for width in WIDTH_CURVE_WIDTHS:
+            group = partition[:width]
+            results.append(
+                time_callable(
+                    f"campaign_{label}_w{width}",
+                    lambda group=group: run_trials_ensemble(group, config),
+                    warmup=warmup,
+                    runs=runs,
+                )
+            )
+    return results
 
 
 def ensemble_allocation_check() -> List[str]:
@@ -562,6 +604,34 @@ def main(argv: List[str]) -> int:
             print("FAIL: ensemble trial does not replay bit-for-bit")
             failed = True
 
+        print(
+            f"timing campaign-group width curve (widths "
+            f"{'/'.join(str(w) for w in WIDTH_CURVE_WIDTHS)}, "
+            f"{WIDTH_CURVE_DURATION_S:.0f} s at the CLI's 200 Hz)..."
+        )
+        curve_results = width_curve_workloads(runs=WIDTH_CURVE_RUNS, warmup=1)
+        _print_results(curve_results)
+        curve = {}
+        for label in ("group", "ekf_group"):
+            by_width = {
+                width: next(
+                    r for r in curve_results
+                    if r.name == f"campaign_{label}_w{width}"
+                ).median_s
+                for width in WIDTH_CURVE_WIDTHS
+            }
+            curve[label] = {
+                "median_s": list(by_width.values()),
+                "per_lane_s": [t / w for w, t in by_width.items()],
+            }
+            print(
+                f"  {label} per-lane s: "
+                + ", ".join(
+                    f"w{w} {t / w:.3f}" for w, t in by_width.items()
+                )
+            )
+        ensemble_results = ensemble_results + curve_results
+
         print("checking steady-state allocation budgets...")
         alloc_failures = ensemble_allocation_check()
         for line in alloc_failures:
@@ -580,6 +650,13 @@ def main(argv: List[str]) -> int:
                 "verify_replay_samples": ENSEMBLE_REPLAY_SAMPLES,
                 "verify_replay_ok": replays_ok,
                 "allocation_budget_ok": not alloc_failures,
+                "width_curve": {
+                    "widths": list(WIDTH_CURVE_WIDTHS),
+                    "duration_s": WIDTH_CURVE_DURATION_S,
+                    "physics_rate_hz": CampaignConfig().physics_rate_hz,
+                    "runs": WIDTH_CURVE_RUNS,
+                    **curve,
+                },
             },
         ))
         if (args.min_ensemble_speedup > 0

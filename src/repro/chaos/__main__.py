@@ -13,6 +13,17 @@ restarted with ``--checkpoint PATH --resume`` to continue from the last
 completed chunk with bit-for-bit identical output.  The execution report
 is written next to the campaign artifacts as ``execution.json``.
 
+Trials fly on the ensemble engine by default (``--engine ensemble``):
+each ``use_ekf`` partition of the campaign is split into the fewest
+balanced groups that give every worker one, and each group steps all its
+trials in lockstep through one vectorized simulator, one group per pool
+chunk.  ``--engine scalar`` flies one trial per scalar simulator.  Both
+engines write byte-identical ``campaign.json`` and ``traces/``.  Under
+``--checkpoint`` the journal holds one entry per group; a group that
+fails every retry is re-flown trial by trial on the scalar engine, so
+only its poison trial is quarantined.  The grouping depends on the
+worker count, so resume with the same ``--workers``/``--inline``.
+
 Exit status: 0 on success, 1 when ``--replay-failures`` finds a replay
 mismatch (a broken determinism contract), 2 on usage errors.
 """
@@ -138,6 +149,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="worker processes (default: cpu count)",
     )
     parser.add_argument(
+        "--engine",
+        choices=("ensemble", "scalar"),
+        default="ensemble",
+        help="closed-loop engine (default: ensemble; scalar is the oracle)",
+    )
+    parser.add_argument(
         "--inline",
         action="store_true",
         help="run every trial in this process (hermetic mode)",
@@ -216,6 +233,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             runner_config,
             journal_path=args.checkpoint,
             policy=policy,
+            engine=args.engine,
         )
         results = run.results
         if run.execution is not None:
@@ -228,13 +246,13 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
         for record in run.quarantined:
             print(
-                f"QUARANTINED trial chunk item {record.item_index}: "
+                f"QUARANTINED trial {record.item_index}: "
                 f"{record.error_type}: {record.error_message} "
                 f"({record.attempts} attempt(s))",
                 file=sys.stderr,
             )
     else:
-        results = run_campaign(config, runner_config)
+        results = run_campaign(config, runner_config, engine=args.engine)
     report = triage(results)
     print(_format_report(report))
 

@@ -48,6 +48,7 @@ from repro.chaos.runner import (
     TrialResult,
     _recovery_time_s,
     _square_mission,
+    ensemble_groups,
 )
 from repro.faults.injectors import FaultInjector
 from repro.faults.scenarios import DEFAULT_MODEL, HEARTBEAT_PERIOD_S
@@ -230,29 +231,16 @@ def run_trials_ensemble(
     """Fly ``specs`` through ensemble groups; results in input order.
 
     Specs are partitioned by ``use_ekf`` (the ensemble's one per-group
-    constant) and optionally split into groups of at most
-    ``ensemble_width`` lanes; each group flies in lockstep through one
+    constant) and optionally split into balanced groups of at most
+    ``ensemble_width`` lanes (:func:`repro.chaos.runner.ensemble_groups`);
+    each group flies in lockstep through one
     :class:`~repro.sim.ensemble.EnsembleFlightSimulator`.  Every result is
     fingerprint-identical to :func:`repro.chaos.runner.run_trial` on the
     same ``(spec, config)``.
     """
-    if ensemble_width is not None and ensemble_width <= 0:
-        raise ValueError(
-            f"ensemble width must be positive: {ensemble_width}"
-        )
     results: List[Optional[TrialResult]] = [None] * len(specs)
-    for flag in (False, True):
-        indexed = [
-            (index, spec)
-            for index, spec in enumerate(specs)
-            if spec.use_ekf is flag
-        ]
-        if not indexed:
-            continue
-        width = len(indexed) if ensemble_width is None else ensemble_width
-        for start in range(0, len(indexed), width):
-            group = indexed[start : start + width]
-            flown = _fly_group([spec for _, spec in group], config)
-            for (index, _), result in zip(group, flown):
-                results[index] = result
+    for group in ensemble_groups(specs, width=ensemble_width):
+        flown = _fly_group([spec for _, spec in group], config)
+        for (index, _), result in zip(group, flown):
+            results[index] = result
     return cast(List[TrialResult], results)

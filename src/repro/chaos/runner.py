@@ -12,7 +12,10 @@ schedule)`` tuple and assert bit-for-bit equality of verdicts and metrics.
 Campaigns fan trials out with :class:`repro.core.parallel
 .ParallelSweepRunner` — the same deterministic-chunking machinery the
 design-space sweeps use — so a multi-hundred-trial campaign saturates the
-machine without giving up input-order results.
+machine without giving up input-order results.  By default each work item
+is a whole ensemble group (:func:`ensemble_groups`) flown by
+:mod:`repro.chaos.ensemble`; :func:`run_trial` stays the scalar oracle
+that replay and the equivalence tests compare against.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -33,7 +36,7 @@ from repro.chaos.invariants import SafetyMonitor, Violation
 from repro.chaos.recorder import BlackBoxTrace, FlightRecorder
 from repro.core.parallel import ParallelSweepRunner, SweepRunnerConfig
 from repro.exec.policy import ExecutionPolicy
-from repro.exec.report import ExecutionReport, QuarantineRecord
+from repro.exec.report import ExecState, ExecutionReport, QuarantineRecord
 from repro.faults.injectors import FaultInjector
 from repro.faults.scenarios import DEFAULT_MODEL, HEARTBEAT_PERIOD_S
 from repro.sim.simulator import DroneModel, FlightSimulator
@@ -273,40 +276,85 @@ def _run_trial_item(item: Tuple[TrialSpec, CampaignConfig]) -> TrialResult:
     return run_trial(spec, config)
 
 
-#: Default number of trials stepped together per ensemble group.
-DEFAULT_ENSEMBLE_WIDTH = 16
+#: One ensemble group: its trials with their original campaign indices.
+EnsembleGroup = Tuple[Tuple[int, TrialSpec], ...]
 
 
-def _ensemble_items(
-    specs: List[TrialSpec], config: CampaignConfig, width: int
-) -> List[Tuple[Tuple[Tuple[int, TrialSpec], ...], CampaignConfig]]:
-    """Chunk the campaign into ensemble groups of at most ``width`` lanes.
+def ensemble_groups(
+    specs: Sequence[TrialSpec],
+    workers: int = 1,
+    width: Optional[int] = None,
+) -> List[EnsembleGroup]:
+    """Split trials into ensemble groups, each flown by one ensemble.
 
     Groups are uniform in ``use_ekf`` (the one per-ensemble constant) and
-    carry their trials' original indices so results can be restored to
-    trial order after a parallel map.
+    carry their trials' original indices, so results can be restored to
+    trial order after a parallel map.  Each ``use_ekf`` partition is split
+    into the fewest groups of balanced size (sizes differ by at most one)
+    such that there are at least ``workers`` groups when there are that
+    many trials: a group's fixed per-step cost dominates its per-lane
+    cost (``BENCH_ensemble.json``'s width curve), so fewer, wider groups
+    win.  Extra groups go to the partition whose groups are widest.
+    ``width``, when given, caps the lanes per group.
     """
-    items = []
-    for flag in (False, True):
-        indexed = [
-            (index, spec)
-            for index, spec in enumerate(specs)
-            if spec.use_ekf is flag
+    if workers <= 0:
+        raise ValueError(f"workers must be positive: {workers}")
+    if width is not None and width <= 0:
+        raise ValueError(f"ensemble width must be positive: {width}")
+    partitions = [
+        [(index, spec) for index, spec in enumerate(specs) if spec.use_ekf is flag]
+        for flag in (False, True)
+    ]
+    partitions = [part for part in partitions if part]
+    counts = [
+        1 if width is None else -(-len(part) // width) for part in partitions
+    ]
+    while sum(counts) < workers:
+        splittable = [
+            k for k, part in enumerate(partitions) if counts[k] < len(part)
         ]
-        for start in range(0, len(indexed), width):
-            items.append((tuple(indexed[start : start + width]), config))
-    return items
+        if not splittable:
+            break
+        widest = max(
+            splittable, key=lambda k: -(-len(partitions[k]) // counts[k])
+        )
+        counts[widest] += 1
+    groups: List[EnsembleGroup] = []
+    for part, count in zip(partitions, counts):
+        base, extra = divmod(len(part), count)
+        start = 0
+        for group in range(count):
+            size = base + (1 if group < extra else 0)
+            groups.append(tuple(part[start : start + size]))
+            start += size
+    return groups
 
 
 def _run_ensemble_item(
-    item: Tuple[Tuple[Tuple[int, TrialSpec], ...], CampaignConfig],
+    item: Tuple[EnsembleGroup, CampaignConfig],
 ) -> List[Tuple[int, TrialResult]]:
     """Module-level worker entry point: fly one ensemble group."""
     from repro.chaos.ensemble import run_trials_ensemble
 
-    indexed, config = item
-    results = run_trials_ensemble([spec for _, spec in indexed], config)
-    return [(index, result) for (index, _), result in zip(indexed, results)]
+    group, config = item
+    results = run_trials_ensemble([spec for _, spec in group], config)
+    return [(index, result) for (index, _), result in zip(group, results)]
+
+
+def _group_items(
+    specs: Sequence[TrialSpec],
+    config: CampaignConfig,
+    runner_config: SweepRunnerConfig,
+    width: Optional[int],
+) -> Tuple[SweepRunnerConfig, List[Tuple[EnsembleGroup, CampaignConfig]]]:
+    """Ensemble work items, and a runner config submitting one per chunk.
+
+    A group is already a batch, so packing several into one pool chunk
+    would leave workers idle.
+    """
+    workers = runner_config.resolved_workers if runner_config.parallel else 1
+    items = [(group, config) for group in ensemble_groups(specs, workers, width)]
+    return replace(runner_config, chunk_size=1), items
 
 
 def _check_engine(engine: str) -> None:
@@ -321,8 +369,8 @@ def run_campaign(
     config: CampaignConfig,
     runner_config: Optional[SweepRunnerConfig] = None,
     *,
-    engine: str = "scalar",
-    ensemble_width: int = DEFAULT_ENSEMBLE_WIDTH,
+    engine: str = "ensemble",
+    ensemble_width: Optional[int] = None,
 ) -> List[TrialResult]:
     """Fly the whole campaign; results come back in trial order.
 
@@ -333,30 +381,35 @@ def run_campaign(
     than an opaque ``BrokenProcessPool``; for a campaign that must
     *survive* such faults, use :func:`run_campaign_supervised`.
 
-    ``engine="ensemble"`` flies trials in vectorized groups of up to
-    ``ensemble_width`` through :func:`repro.chaos.ensemble
-    .run_trials_ensemble` — each parallel work item steps a whole group
-    instead of one trial.  Results are fingerprint-identical to the
-    scalar engine (the contract :func:`verify_replay` checks), just
-    faster.
+    The default ``engine="ensemble"`` flies trials in vectorized groups
+    (see :func:`ensemble_groups`; ``ensemble_width`` caps their width)
+    through :func:`repro.chaos.ensemble.run_trials_ensemble`, one group
+    per pool chunk.  ``engine="scalar"`` flies one :func:`run_trial` per
+    item.  Results are fingerprint-identical across engines (the contract
+    :func:`verify_replay` checks); the ensemble is just faster.
     """
     _check_engine(engine)
     specs = generate_campaign(config)
-    runner = ParallelSweepRunner(
+    base = (
         runner_config
         if runner_config is not None
         else SweepRunnerConfig(parallel=False)
     )
     if engine == "scalar":
-        return runner.map(_run_trial_item, [(spec, config) for spec in specs])
-    batches = runner.map(
-        _run_ensemble_item, _ensemble_items(specs, config, ensemble_width)
-    )
-    ordered: List[Optional[TrialResult]] = [None] * len(specs)
-    for batch in batches:
-        for index, result in batch:
-            ordered[index] = result
-    return [result for result in ordered if result is not None]
+        return ParallelSweepRunner(base).map(
+            _run_trial_item, [(spec, config) for spec in specs]
+        )
+    group_config, items = _group_items(specs, config, base, ensemble_width)
+    batches = ParallelSweepRunner(group_config).map(_run_ensemble_item, items)
+    return _in_trial_order(batches)
+
+
+def _in_trial_order(
+    batches: Sequence[List[Tuple[int, TrialResult]]],
+) -> List[TrialResult]:
+    """Flatten ``(trial index, result)`` batches back into trial order."""
+    by_index = dict(pair for batch in batches for pair in batch)
+    return [by_index[index] for index in sorted(by_index)]
 
 
 @dataclass
@@ -366,6 +419,7 @@ class CampaignRun:
     #: Trial results in trial order; quarantined trials are absent here
     #: and listed in :attr:`quarantined` instead.
     results: List[TrialResult]
+    #: One record per quarantined trial; ``item_index`` is its trial index.
     quarantined: Tuple[QuarantineRecord, ...]
     execution: Optional[ExecutionReport]
 
@@ -376,8 +430,8 @@ def run_campaign_supervised(
     journal_path: Optional["os.PathLike[str] | str"] = None,
     policy: Optional[ExecutionPolicy] = None,
     *,
-    engine: str = "scalar",
-    ensemble_width: int = DEFAULT_ENSEMBLE_WIDTH,
+    engine: str = "ensemble",
+    ensemble_width: Optional[int] = None,
 ) -> CampaignRun:
     """Fly the campaign under the fault-tolerant execution layer.
 
@@ -390,11 +444,12 @@ def run_campaign_supervised(
     ``(campaign_seed, trial_index)``, so the journal fingerprint check
     guarantees the resumed chunks belong to this exact campaign).
 
-    With ``engine="ensemble"`` each supervised work item is a whole
-    ensemble group of up to ``ensemble_width`` trials, so retry and
-    quarantine operate at group granularity: a group that poisons every
-    retry is quarantined together, and its trials are absent from
-    :attr:`CampaignRun.results`.
+    With the default ``engine="ensemble"`` each supervised work item is a
+    whole ensemble group, so retries happen per group.  A group that
+    poisons every retry is re-flown trial by trial on the scalar engine
+    under the same supervision, so only its poison trial is quarantined.
+    Those re-flights are not journaled: a resumed campaign restores the
+    quarantined group from the journal and re-flies it again.
     """
     _check_engine(engine)
     specs = generate_campaign(config)
@@ -406,29 +461,81 @@ def run_campaign_supervised(
     supervised_config = replace(
         base, supervised=True, policy=policy if policy is not None else base.policy
     )
-    runner = ParallelSweepRunner(supervised_config)
     if engine == "scalar":
+        runner = ParallelSweepRunner(supervised_config)
         raw = runner.map(
             _run_trial_item,
             [(spec, config) for spec in specs],
             journal=journal_path,
         )
         results = [result for result in raw if isinstance(result, TrialResult)]
-    else:
-        raw = runner.map(
-            _run_ensemble_item,
-            _ensemble_items(specs, config, ensemble_width),
-            journal=journal_path,
+        report = runner.last_report
+        quarantined = tuple(report.quarantined) if report is not None else ()
+        return CampaignRun(
+            results=results, quarantined=quarantined, execution=report
         )
-        ordered: List[Optional[TrialResult]] = [None] * len(specs)
-        for batch in raw:
-            if not isinstance(batch, list):
-                continue  # quarantined group placeholder
-            for index, result in batch:
-                ordered[index] = result
-        results = [result for result in ordered if result is not None]
-    report = runner.last_report
-    quarantined = tuple(report.quarantined) if report is not None else ()
-    return CampaignRun(
-        results=results, quarantined=quarantined, execution=report
+
+    group_config, items = _group_items(
+        specs, config, supervised_config, ensemble_width
     )
+    runner = ParallelSweepRunner(group_config)
+    raw = runner.map(_run_ensemble_item, items, journal=journal_path)
+    report = runner.last_report
+    assert report is not None
+    batches = [batch for batch in raw if isinstance(batch, list)]
+    # Quarantined groups come back as failure codes, not result lists.
+    poisoned = [
+        (chunk_id, spec)
+        for chunk_id, ((group, _), batch) in enumerate(zip(items, raw))
+        if not isinstance(batch, list)
+        for _, spec in group
+    ]
+    if poisoned:
+        batches.append(
+            _refly_poisoned(poisoned, config, supervised_config, report)
+        )
+    return CampaignRun(
+        results=_in_trial_order(batches),
+        quarantined=tuple(report.quarantined),
+        execution=report,
+    )
+
+
+def _refly_poisoned(
+    poisoned: List[Tuple[int, TrialSpec]],
+    config: CampaignConfig,
+    supervised_config: SweepRunnerConfig,
+    report: ExecutionReport,
+) -> List[Tuple[int, TrialResult]]:
+    """Re-fly quarantined groups' trials one by one on the scalar engine.
+
+    Folds the re-flight's accounting into ``report``, whose group-level
+    quarantine records give way to one record per poison trial.
+    """
+    report.record(
+        ExecState.RETRYING,
+        f"re-flying {len(poisoned)} trial(s) of quarantined ensemble "
+        "group(s) on the scalar engine",
+    )
+    runner = ParallelSweepRunner(replace(supervised_config, chunk_size=1))
+    raw = runner.map(_run_trial_item, [(spec, config) for _, spec in poisoned])
+    refly = runner.last_report
+    assert refly is not None
+    report.retries += refly.retries
+    report.worker_deaths += refly.worker_deaths
+    report.hang_kills += refly.hang_kills
+    report.probe_crashes += refly.probe_crashes
+    report.transitions.extend(refly.transitions)
+    report.quarantined[:] = [
+        replace(
+            record,
+            item_index=poisoned[record.item_index][1].trial_index,
+            chunk_id=poisoned[record.item_index][0],
+        )
+        for record in refly.quarantined
+    ]
+    return [
+        (spec.trial_index, result)
+        for (_, spec), result in zip(poisoned, raw)
+        if isinstance(result, TrialResult)
+    ]

@@ -47,7 +47,7 @@ working across the switch.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -71,6 +71,30 @@ STATE_SIZE = 9
 #: and never mutated; :func:`clear_ensemble_scratch` drops them (the
 #: ``repro.clear_all_caches`` fan-out hook).
 _SCRATCH: Dict[Tuple, np.ndarray] = {}
+
+#: Column layout of one telemetry record row (one lane's ``SimSample``).
+_REC_POS = slice(0, 3)
+_REC_VEL = slice(3, 6)
+_REC_QUAT = slice(6, 10)
+_REC_THRUST = slice(10, 14)
+_REC_POWER = 14
+_REC_VOLTAGE = 15
+_REC_SOC = 16
+_REC_WIDTH = 17
+
+
+def _sample_from_row(time_s: float, row: np.ndarray) -> SimSample:
+    """One lane's ``SimSample`` from its record row, bit for bit."""
+    return SimSample(
+        time_s=time_s,
+        position_m=row[_REC_POS].copy(),
+        velocity_m_s=row[_REC_VEL].copy(),
+        euler_rad=euler_from_quaternion(row[_REC_QUAT]),
+        motor_thrusts_n=row[_REC_THRUST].copy(),
+        electrical_power_w=float(row[_REC_POWER]),
+        battery_voltage_v=float(row[_REC_VOLTAGE]),
+        battery_soc=float(row[_REC_SOC]),
+    )
 
 
 def clear_ensemble_scratch() -> None:
@@ -516,7 +540,14 @@ class EnsembleFlightSimulator:
         #: take the unmasked fast path.  Partial masks (EKF ok-sets, baro
         #: draw masks) are always fresh arrays and always go masked.
         self._full = np.ones(n, dtype=bool)
-        self._sample_rows: List[List[SimSample]] = [[] for _ in range(n)]
+        #: Columnar telemetry, one ``(time_s, lanes, rows)`` record per
+        #: record tick: ``rows`` is an ``(N, _REC_WIDTH)`` block of every
+        #: lane's sample and ``lanes`` the mask of lanes that recorded
+        #: (``None``: all of them).  ``SimSample`` objects are built only
+        #: when a caller reads a lane's samples.
+        self._records: List[Tuple[float, Optional[np.ndarray], np.ndarray]] = []
+        #: Sample lists handed to defected lanes' scalar backends.
+        self._defected_samples: Dict[int, List[SimSample]] = {}
         self._lanes: List[Optional["LaneSim"]] = [None] * n
 
     # -- masked commit helpers ---------------------------------------------------
@@ -1202,21 +1233,16 @@ class EnsembleFlightSimulator:
 
         if self.time_s + 1e-12 >= self._next_record_s:
             self._next_record_s = self.time_s + self._record_period_s
-            voltage = self._terminal_voltage(current)
-            soc = self._soc_rows()
-            for i in idx:
-                self._sample_rows[i].append(
-                    SimSample(
-                        time_s=self.time_s,
-                        position_m=self._pos[i].copy(),
-                        velocity_m_s=self._vel[i].copy(),
-                        euler_rad=euler_from_quaternion(self._quat[i]),
-                        motor_thrusts_n=thrusts[i].copy(),
-                        electrical_power_w=float(power[i]),
-                        battery_voltage_v=float(voltage[i]),
-                        battery_soc=float(soc[i]),
-                    )
-                )
+            rows = np.empty((self.n_lanes, _REC_WIDTH))
+            rows[:, _REC_POS] = self._pos
+            rows[:, _REC_VEL] = self._vel
+            rows[:, _REC_QUAT] = self._quat
+            rows[:, _REC_THRUST] = thrusts
+            rows[:, _REC_POWER] = power
+            rows[:, _REC_VOLTAGE] = self._terminal_voltage(current)
+            rows[:, _REC_SOC] = self._soc_rows()
+            lanes = None if live is self._full else live.copy()
+            self._records.append((self.time_s, lanes, rows))
 
     def run_for(self, duration_s: float) -> None:
         """Step all live lanes for ``duration_s`` simulated seconds."""
@@ -1264,10 +1290,31 @@ class EnsembleFlightSimulator:
             self._lanes[index] = facade
         return facade
 
+    def lane_records(self, index: int) -> Iterator[Tuple[float, np.ndarray]]:
+        """``(time_s, row)`` for every record tick of one attached lane.
+
+        ``row`` is a view into the columnar record (see ``_REC_*``); it
+        holds exactly the values a scalar ``SimSample`` would.
+        """
+        for time_s, lanes, rows in self._records:
+            if lanes is None or lanes[index]:
+                yield time_s, rows[index]
+
     def lane_samples(self, index: int) -> List[SimSample]:
-        """Telemetry recorded for one lane (shared with its scalar backend)."""
+        """Telemetry recorded for one lane, as ``SimSample`` objects.
+
+        Built from the columnar records on each call while the lane is
+        attached; after defection this is the scalar backend's own list,
+        which starts with the ensemble-era samples.
+        """
         self._check_lane(index)
-        return self._sample_rows[index]
+        defected = self._defected_samples.get(index)
+        if defected is not None:
+            return defected
+        return [
+            _sample_from_row(time_s, row)
+            for time_s, row in self.lane_records(index)
+        ]
 
     def _check_lane(self, index: int) -> None:
         if not 0 <= index < self.n_lanes:
@@ -1284,8 +1331,9 @@ class EnsembleFlightSimulator:
         state transfers exactly, so the scalar simulator continues the
         trajectory the ensemble would have produced.  The lane's ensemble
         slots go dead (masked out of every subsequent kernel); its
-        ``motor_health`` row and samples list are *shared* with the scalar
-        backend so facade references keep working.
+        ``motor_health`` row is *shared* with the scalar backend so facade
+        references keep working, and its recorded telemetry becomes the
+        scalar backend's sample list.
         """
         self._check_lane(index)
         if not self.attached[index]:
@@ -1317,9 +1365,10 @@ class EnsembleFlightSimulator:
         sim._last_current_a = float(self._last_current[index])
         sim.depleted = bool(self.depleted[index])
         sim.ekf_resets = int(self.ekf_resets[index])
-        # Shared list: the scalar backend appends to the same telemetry the
-        # ensemble recorded, so lane(i).samples is seamless across the switch.
-        sim.samples = self._sample_rows[index]
+        # The scalar backend continues the telemetry the ensemble recorded,
+        # so lane(i).samples is seamless across the switch.
+        sim.samples = self.lane_samples(index)
+        self._defected_samples[index] = sim.samples
 
         state = sim.body.state
         state.position_m = self._pos[index].copy()
@@ -1728,7 +1777,7 @@ class LaneSim:
     def samples(self) -> List[SimSample]:
         if self._scalar is not None:
             return self._scalar.samples
-        return self._ens._sample_rows[self._index]
+        return self._ens.lane_samples(self._index)
 
     # -- commands ------------------------------------------------------------
 
@@ -1764,18 +1813,30 @@ class LaneSim:
 
     def average_power_w(self, since_s: float = 0.0) -> float:
         """Mean recorded electrical power after ``since_s``."""
-        powers = [s.electrical_power_w for s in self.samples if s.time_s >= since_s]
+        if self._scalar is not None:
+            return self._scalar.average_power_w(since_s)
+        powers = [
+            float(row[_REC_POWER])
+            for time_s, row in self._ens.lane_records(self._index)
+            if time_s >= since_s
+        ]
         if not powers:
             raise ValueError("no samples recorded in the requested window")
         return float(np.mean(powers))
 
     def hover_position_error_m(self, target_m, since_s: float) -> float:
-        """RMS position error against ``target_m`` after ``since_s``."""
+        """RMS position error against ``target_m`` after ``since_s``.
+
+        Reads positions straight from the columnar records, with the
+        scalar method's per-sample arithmetic, so it is bit-equal to it.
+        """
+        if self._scalar is not None:
+            return self._scalar.hover_position_error_m(target_m, since_s)
         target = np.asarray(target_m, dtype=float)
         errors = [
-            float(np.linalg.norm(s.position_m - target))
-            for s in self.samples
-            if s.time_s >= since_s
+            float(np.linalg.norm(row[_REC_POS] - target))
+            for time_s, row in self._ens.lane_records(self._index)
+            if time_s >= since_s
         ]
         if not errors:
             raise ValueError("no samples recorded in the requested window")

@@ -453,6 +453,25 @@ class TestChaosCli:
         stdout = capsys.readouterr().out
         assert "chaos campaign seed=3 trials=3" in stdout
 
+    def test_default_engine_matches_scalar_byte_for_byte(self, tmp_path):
+        """The ensemble default and the scalar oracle write identical files."""
+        outputs = {}
+        for engine in ("default", "scalar"):
+            output_dir = tmp_path / engine
+            argv = [
+                "--seed", "6", "--trials", "4", "--duration", "6.5",
+                "--inline", "--output", str(output_dir),
+            ]
+            if engine == "scalar":
+                argv += ["--engine", "scalar"]
+            assert chaos_main(argv) == 0
+            outputs[engine] = {
+                path.relative_to(output_dir).as_posix(): path.read_bytes()
+                for path in sorted(output_dir.rglob("*.json"))
+            }
+        assert any(name.startswith("traces/") for name in outputs["scalar"])
+        assert outputs["default"] == outputs["scalar"]
+
     def test_invalid_config_is_a_usage_error(self, capsys):
         assert chaos_main(["--trials", "0"]) == 2
         assert chaos_main(["--duration", "3.0"]) == 2

@@ -43,7 +43,11 @@ ACCEPTANCE_CONFIG = CampaignConfig(
 
 @pytest.fixture(scope="module")
 def campaign_results():
-    """Fly the acceptance campaign once, inline (hermetic, single process)."""
+    """Fly the acceptance campaign once, inline (hermetic, single process).
+
+    It flies on the default ensemble engine; every replay below re-flies
+    on the scalar engine (``run_trial``), the oracle.
+    """
     return run_campaign(ACCEPTANCE_CONFIG, SweepRunnerConfig(parallel=False))
 
 

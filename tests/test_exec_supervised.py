@@ -390,11 +390,11 @@ class TestChaosCampaignResume:
 
         config = CampaignConfig(campaign_seed=404, trials=3, duration_s=8.0)
         runner_config = SweepRunnerConfig(parallel=False, chunk_size=1)
-        expected = run_campaign(config, runner_config)
+        expected = run_campaign(config, runner_config, engine="scalar")
 
         journal_path = tmp_path / "campaign.jsonl"
         full = run_campaign_supervised(
-            config, runner_config, journal_path=journal_path
+            config, runner_config, journal_path=journal_path, engine="scalar"
         )
         assert len(full.results) == len(expected)
 
@@ -403,7 +403,7 @@ class TestChaosCampaignResume:
         assert len(lines) == 1 + config.trials  # header + one entry per trial
         journal_path.write_text("".join(lines[:2]))
         resumed = run_campaign_supervised(
-            config, runner_config, journal_path=journal_path
+            config, runner_config, journal_path=journal_path, engine="scalar"
         )
         assert resumed.execution is not None
         assert resumed.execution.chunks_resumed == 1
@@ -415,6 +415,106 @@ class TestChaosCampaignResume:
             if want.trace is not None:
                 assert got.trace is not None
                 assert got.trace.fingerprint() == want.trace.fingerprint()
+
+    def test_killed_ensemble_campaign_resumes_bit_for_bit(self, tmp_path):
+        from repro.chaos.campaign import CampaignConfig
+        from repro.chaos.runner import run_campaign, run_campaign_supervised
+
+        config = CampaignConfig(campaign_seed=6, trials=4, duration_s=6.5)
+        runner_config = SweepRunnerConfig(parallel=False)
+        expected = run_campaign(config, runner_config, engine="scalar")
+
+        journal_path = tmp_path / "campaign.jsonl"
+        full = run_campaign_supervised(
+            config, runner_config, journal_path=journal_path
+        )
+        assert full.execution is not None
+        groups = full.execution.chunks_total
+        assert groups == 2  # one ensemble group per use_ekf partition
+
+        lines = journal_path.read_text().splitlines(keepends=True)
+        assert len(lines) == 1 + groups
+        journal_path.write_text("".join(lines[:2]))
+        resumed = run_campaign_supervised(
+            config, runner_config, journal_path=journal_path
+        )
+        assert resumed.execution is not None
+        assert resumed.execution.chunks_resumed == 1
+        assert not resumed.quarantined
+        assert [r.metrics() for r in resumed.results] == [
+            r.metrics() for r in expected
+        ]
+        for got, want in zip(resumed.results, expected):
+            assert (got.trace is None) == (want.trace is None)
+            if want.trace is not None:
+                assert got.trace.fingerprint() == want.trace.fingerprint()
+
+    def test_poisoned_group_quarantines_only_its_poison_trial(
+        self, tmp_path, monkeypatch
+    ):
+        """A group failing every retry is re-flown trial by trial."""
+        from repro.chaos import runner
+        from repro.chaos.campaign import CampaignConfig, generate_campaign
+
+        config = CampaignConfig(campaign_seed=6, trials=4, duration_s=6.5)
+        expected = runner.run_campaign(config, engine="scalar")
+        group = max(
+            runner.ensemble_groups(generate_campaign(config)), key=len
+        )
+        assert len(group) >= 2
+        poison = group[1][0]
+        fault = FaultyCallable(
+            _identity, {poison: WorkerFaultSpec(FAULT_CRASH)}, tmp_path
+        )
+        monkeypatch.setattr(
+            runner,
+            "_run_ensemble_item",
+            _FaultOnTrial(runner._run_ensemble_item, fault),
+        )
+        monkeypatch.setattr(
+            runner,
+            "_run_trial_item",
+            _FaultOnTrial(runner._run_trial_item, fault),
+        )
+        run = runner.run_campaign_supervised(
+            config, policy=ExecutionPolicy(backoff_base_s=0.0)
+        )
+        assert [record.item_index for record in run.quarantined] == [poison]
+        assert run.quarantined[0].error_type == "WorkerFault"
+        survivors = [r for r in expected if r.spec.trial_index != poison]
+        assert [r.metrics() for r in run.results] == [
+            r.metrics() for r in survivors
+        ]
+        assert run.execution is not None
+        assert any(
+            "scalar engine" in t.reason for t in run.execution.transitions
+        )
+
+
+def _identity(value):
+    return value
+
+
+class _FaultOnTrial:
+    """A campaign work-item callable whose items fault on one trial.
+
+    ``fault`` is a :class:`FaultyCallable` keyed by trial index; it fires
+    for every item that flies the poison trial — a whole ensemble group
+    or the lone scalar trial.
+    """
+
+    def __init__(self, inner, fault):
+        self.inner = inner
+        self.fault = fault
+
+    def __call__(self, item):
+        trials, _ = item
+        if hasattr(trials, "trial_index"):
+            self.fault(trials.trial_index)
+        else:
+            for index, _ in trials:
+                self.fault(index)
+        return self.inner(item)
 
 
 # -- bare runner semantics (satellites) ------------------------------------

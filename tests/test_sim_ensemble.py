@@ -9,6 +9,8 @@ campaign fingerprints including black-box crash traces.  Every assertion
 here is exact equality, never ``allclose``.
 """
 
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from repro.chaos import (
     verify_replay,
 )
 from repro.chaos.campaign import TrialSpec, generate_campaign
+from repro.chaos.runner import ensemble_groups
 from repro.core.parallel import SweepRunnerConfig
 from repro.faults.scenarios import DEFAULT_MODEL
 from repro.faults.schedule import FaultSchedule
@@ -76,6 +79,12 @@ def _assert_lane_matches(lane, sim) -> None:
     assert mixer.mixes == ref_mixer.mixes
     assert mixer.saturations == ref_mixer.saturations
     _assert_samples_equal(lane.samples, sim.samples)
+    # The derived metrics read the columnar records (or the scalar backend
+    # after defection) and must match the scalar methods bit for bit.
+    assert lane.average_power_w(0.5) == sim.average_power_w(0.5)
+    assert lane.hover_position_error_m(
+        TARGETS[0], since_s=0.5
+    ) == sim.hover_position_error_m(np.asarray(TARGETS[0]), since_s=0.5)
 
 
 class TestLockstepEquivalence:
@@ -207,6 +216,8 @@ class TestMidFlightDefection:
         ens.run_for(1.5)
         for sim in scalars:
             sim.run_for(1.5)
+        for index, sim in enumerate(scalars):
+            _assert_samples_equal(ens.lane_samples(index), sim.samples)
 
         deserter = ens.lane(1)
         materialized = deserter.defect()
@@ -219,6 +230,8 @@ class TestMidFlightDefection:
                 sim.run_for(chunk_s)
         for index, sim in enumerate(scalars):
             _assert_lane_matches(ens.lane(index), sim)
+        # The deserter's scalar backend continues the ensemble-era samples.
+        assert ens.lane_samples(1) is materialized.samples
 
     def test_attached_lane_refuses_run_for(self):
         ens = EnsembleFlightSimulator(_model(), n_lanes=1, physics_rate_hz=RATE_HZ)
@@ -230,7 +243,7 @@ class TestChaosCampaignEquivalence:
     def test_engines_produce_identical_campaigns(self):
         """Fingerprints (and crash traces) match across engines + replay."""
         config = CampaignConfig(campaign_seed=77, trials=8, duration_s=12.0)
-        scalar = run_campaign(config)
+        scalar = run_campaign(config, engine="scalar")
         ensemble = run_campaign(config, engine="ensemble", ensemble_width=3)
         assert [r.metrics() for r in scalar] == [
             r.metrics() for r in ensemble
@@ -244,7 +257,7 @@ class TestChaosCampaignEquivalence:
     def test_64_trial_campaign_replays_identically(self):
         """The ISSUE acceptance shape: 64 chaos trials, both engines."""
         config = CampaignConfig(campaign_seed=9, trials=64, duration_s=10.0)
-        scalar = run_campaign(config)
+        scalar = run_campaign(config, engine="scalar")
         ensemble = run_campaign(config, engine="ensemble")
         assert len(ensemble) == 64
         assert [r.metrics() for r in scalar] == [
@@ -254,6 +267,25 @@ class TestChaosCampaignEquivalence:
             if ref.trace is not None:
                 assert got.trace is not None
                 assert ref.trace.fingerprint() == got.trace.fingerprint()
+
+    def test_two_groups_on_two_workers_submit_two_chunks(self, monkeypatch):
+        """Each ensemble group is its own pool chunk, so both workers fly."""
+        import repro.core.parallel as parallel
+
+        submitted = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                submitted.append(len(args[1]))  # (fn, chunk, base_index)
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", CountingPool)
+        config = CampaignConfig(campaign_seed=6, trials=4, duration_s=6.5)
+        assert len(ensemble_groups(generate_campaign(config), workers=2)) == 2
+        results = run_campaign(config, SweepRunnerConfig(max_workers=2))
+        assert submitted == [1, 1]
+        scalar = run_campaign(config, engine="scalar")
+        assert [r.metrics() for r in results] == [r.metrics() for r in scalar]
 
     def test_parallel_and_supervised_paths_agree(self):
         config = CampaignConfig(campaign_seed=5, trials=6, duration_s=8.0)
@@ -283,6 +315,48 @@ class TestEnsembleApi:
             run_campaign(config, engine="warp")
         with pytest.raises(ValueError, match="engine"):
             run_campaign_supervised(config, engine="warp")
+
+    def test_groups_are_balanced_and_fill_the_workers(self):
+        """Fewest balanced groups per use_ekf partition, one per worker."""
+        specs = [
+            TrialSpec(
+                campaign_seed=1,
+                trial_index=index,
+                link_seed=index,
+                schedule=FaultSchedule(),
+                use_ekf=index < 7,
+                heartbeats=False,
+                offload=False,
+            )
+            for index in range(20)
+        ]
+
+        def shape(groups):
+            return [
+                (group[0][1].use_ekf, len(group)) for group in groups
+            ]
+
+        assert shape(ensemble_groups(specs)) == [(False, 13), (True, 7)]
+        assert shape(ensemble_groups(specs, workers=2)) == [
+            (False, 13), (True, 7),
+        ]
+        # Extra groups split the widest partition first.
+        assert shape(ensemble_groups(specs, workers=3)) == [
+            (False, 7), (False, 6), (True, 7),
+        ]
+        assert shape(ensemble_groups(specs, workers=4)) == [
+            (False, 5), (False, 4), (False, 4), (True, 7),
+        ]
+        # The width cap forces more groups, still balanced.
+        assert shape(ensemble_groups(specs, width=5)) == [
+            (False, 5), (False, 4), (False, 4), (True, 4), (True, 3),
+        ]
+        # Never more groups than trials.
+        assert len(ensemble_groups(specs[:3], workers=8)) == 3
+        indices = [
+            index for group in ensemble_groups(specs, 4) for index, _ in group
+        ]
+        assert sorted(indices) == list(range(20))
 
     def test_nonpositive_width_rejected(self):
         config = CampaignConfig(trials=2, duration_s=8.0)
