@@ -24,7 +24,7 @@ CONFIG = CampaignConfig(
 
 def test_chaos_campaign_failure_map(benchmark):
     results = benchmark.pedantic(
-        lambda: run_campaign(CONFIG, SweepRunnerConfig(parallel=False)),
+        lambda: run_campaign(CONFIG, SweepRunnerConfig(max_workers=1)).results,
         rounds=1,
         iterations=1,
     )

@@ -5,10 +5,15 @@ per-chunk futures, heartbeat files, fingerprints, journal appends.  That
 tax is only acceptable if it stays small when nothing goes wrong, which
 is the common case.  This benchmark prices the inline supervised path and
 the checkpoint journal against the bare serial loop on a pure-Python
-workload sized like one sweep chunk.
+workload sized like one sweep chunk, and a campaign-shaped pool (two
+workers, two chunks, as ``python -m repro.chaos --workers 2`` submits two
+ensemble groups) against the serial loop.  The printed costs are
+reported, not gated: wall time on shared hosts is too noisy for a bound.
 """
 
 import math
+import os
+import time
 
 from repro.exec.journal import (
     CheckpointJournal,
@@ -36,7 +41,7 @@ def _serial() -> list:
 def test_supervised_inline_overhead(benchmark):
     expected = _serial()
     outcome = benchmark.pedantic(
-        lambda: SupervisedPool(parallel=False, chunk_size=16).map(_work, ITEMS),
+        lambda: SupervisedPool(workers=1, chunk_size=16).map(_work, ITEMS),
         rounds=3,
         iterations=1,
     )
@@ -56,6 +61,53 @@ def test_supervised_inline_overhead(benchmark):
     )
 
 
+def _group(value: int) -> float:
+    """Stand-in for one ensemble group: a few tenths of a second of work."""
+    total = 0.0
+    for i in range(3_000_000):
+        total += math.sqrt(value + i + 1.0)
+    return total
+
+
+def test_campaign_sized_pool_overhead(benchmark):
+    groups = [0, 1]
+    began = time.perf_counter()
+    expected = [_group(item) for item in groups]
+    serial_s = time.perf_counter() - began
+
+    pool_s = []
+
+    def run():
+        began = time.perf_counter()
+        outcome = SupervisedPool(workers=2, chunk_size=1).map(_group, groups)
+        pool_s.append(time.perf_counter() - began)
+        return outcome
+
+    outcome = benchmark.pedantic(run, rounds=3, iterations=1)
+    assert outcome.results == expected
+    assert outcome.report.chunks_completed == len(groups)
+    assert outcome.report.worker_deaths == 0
+    assert outcome.report.final_workers == 2
+
+    # Two chunks on two workers ideally take half the serial time (the
+    # whole of it on a single-CPU host); the rest is pool start-up,
+    # heartbeats, polling and shutdown.
+    ideal_s = serial_s / min(len(groups), os.cpu_count() or 1)
+    median_s = sorted(pool_s)[len(pool_s) // 2]
+    print_table(
+        "Campaign-sized supervised pool (2 workers, 2 chunks, fault-free)",
+        ("serial s", "pool s", "ideal s", "supervision s/chunk"),
+        [
+            (
+                f"{serial_s:.3f}",
+                f"{median_s:.3f}",
+                f"{ideal_s:.3f}",
+                f"{(median_s - ideal_s) / len(groups):.3f}",
+            )
+        ],
+    )
+
+
 def test_journaled_run_overhead(benchmark, tmp_path):
     expected = _serial()
 
@@ -65,7 +117,7 @@ def test_journaled_run_overhead(benchmark, tmp_path):
         counter[0] += 1
         path = tmp_path / f"journal_{counter[0]}.jsonl"
         return SupervisedPool(
-            parallel=False, chunk_size=16, journal=path
+            workers=1, chunk_size=16, journal=path
         ).map(_work, ITEMS)
 
     outcome = benchmark.pedantic(run, rounds=3, iterations=1)

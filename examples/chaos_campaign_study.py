@@ -36,7 +36,7 @@ CONFIG = CampaignConfig(
 
 def main() -> None:
     print(f"== Chaos campaign: {CONFIG.trials} trials, seed {CONFIG.campaign_seed} ==")
-    results = run_campaign(CONFIG, SweepRunnerConfig(parallel=False))
+    results = run_campaign(CONFIG, SweepRunnerConfig(max_workers=1)).results
     report = triage(results)
     print(
         f"verdicts: {report.safe} safe / {report.violations} violation / "

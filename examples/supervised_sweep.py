@@ -42,7 +42,7 @@ def poison_sweep(state_dir: str) -> None:
         evaluate_design, {5: WorkerFaultSpec(FAULT_CRASH)}, state_dir
     )
     policy = ExecutionPolicy(max_attempts=2, backoff_base_s=0.01)
-    outcome = SupervisedPool(parallel=False, chunk_size=4, policy=policy).map(
+    outcome = SupervisedPool(workers=1, chunk_size=4, policy=policy).map(
         faulty, ITEMS
     )
     for index, value in enumerate(outcome.results):
@@ -61,7 +61,7 @@ def flaky_sweep(state_dir: str) -> None:
         state_dir,
     )
     policy = ExecutionPolicy(backoff_base_s=0.01)
-    outcome = SupervisedPool(parallel=False, chunk_size=4, policy=policy).map(
+    outcome = SupervisedPool(workers=1, chunk_size=4, policy=policy).map(
         faulty, ITEMS
     )
     assert outcome.results == [evaluate_design(item) for item in ITEMS]
@@ -73,7 +73,7 @@ def flaky_sweep(state_dir: str) -> None:
 def checkpointed_sweep(state_dir: str) -> None:
     print("== 3. Checkpoint journal: kill at 50%, resume ==")
     journal = f"{state_dir}/sweep.jsonl"
-    SupervisedPool(parallel=False, chunk_size=3, journal=journal).map(
+    SupervisedPool(workers=1, chunk_size=3, journal=journal).map(
         evaluate_design, ITEMS
     )
     # Simulate SIGKILL after two of four chunks were durably journaled.
@@ -81,7 +81,7 @@ def checkpointed_sweep(state_dir: str) -> None:
         lines = handle.readlines()
     with open(journal, "w", encoding="utf-8") as handle:
         handle.writelines(lines[:3])  # header + 2 chunks
-    outcome = SupervisedPool(parallel=False, chunk_size=3, journal=journal).map(
+    outcome = SupervisedPool(workers=1, chunk_size=3, journal=journal).map(
         evaluate_design, ITEMS
     )
     assert outcome.results == [evaluate_design(item) for item in ITEMS]

@@ -45,7 +45,6 @@ from repro.chaos.runner import (
     VERDICT_VIOLATION,
     replay_trial,
     run_campaign,
-    run_campaign_supervised,
     run_trial,
     run_trial_by_index,
     verify_replay,
@@ -82,7 +81,6 @@ __all__ = [
     "VERDICT_VIOLATION",
     "replay_trial",
     "run_campaign",
-    "run_campaign_supervised",
     "run_trial",
     "run_trial_by_index",
     "verify_replay",

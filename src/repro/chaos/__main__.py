@@ -5,27 +5,33 @@ report plus one black-box trace per failed trial, and (with
 ``--replay-failures``) re-flies every failure from its recorded
 ``(seed, schedule)`` tuple to verify bit-for-bit determinism.
 
-With ``--checkpoint PATH`` the campaign runs under the fault-tolerant
-execution layer (:mod:`repro.exec`): every completed trial chunk is
-journaled, worker deaths and hangs are retried, and a campaign killed
-mid-run — worker SIGKILL or whole-process SIGKILL alike — can be
-restarted with ``--checkpoint PATH --resume`` to continue from the last
-completed chunk with bit-for-bit identical output.  The execution report
-is written next to the campaign artifacts as ``execution.json``.
+Every campaign runs under the fault-tolerant execution layer
+(:mod:`repro.exec`): each ``use_ekf`` partition of the campaign is split
+into the fewest balanced groups that give every worker one, one group per
+pool chunk; worker deaths and hangs (``--chunk-timeout``) are retried,
+and a group that fails every retry is re-flown trial by trial on the
+scalar engine, so only its poison trial is quarantined (reported as a
+``QUARANTINED trial N`` line on stderr).  ``--inline`` is one worker:
+everything runs in this process.
 
 Trials fly on the ensemble engine by default (``--engine ensemble``):
-each ``use_ekf`` partition of the campaign is split into the fewest
-balanced groups that give every worker one, and each group steps all its
-trials in lockstep through one vectorized simulator, one group per pool
-chunk.  ``--engine scalar`` flies one trial per scalar simulator.  Both
-engines write byte-identical ``campaign.json`` and ``traces/``.  Under
-``--checkpoint`` the journal holds one entry per group; a group that
-fails every retry is re-flown trial by trial on the scalar engine, so
-only its poison trial is quarantined.  The grouping depends on the
-worker count, so resume with the same ``--workers``/``--inline``.
+each group steps all its trials in lockstep through one vectorized
+simulator.  ``--engine scalar`` flies a group trial by trial, one scalar
+simulator each.  Both engines write byte-identical ``campaign.json`` and
+``traces/``.
+
+``--checkpoint PATH`` journals every completed group, so a campaign
+killed mid-run — worker SIGKILL or whole-process SIGKILL alike — can be
+restarted with ``--checkpoint PATH --resume`` to continue from the last
+completed group with bit-for-bit identical output.  The execution report
+is then written next to the campaign artifacts as ``execution.json``.
+The grouping depends on the worker count, so resume with the same
+``--workers``/``--inline``.
 
 Exit status: 0 on success, 1 when ``--replay-failures`` finds a replay
-mismatch (a broken determinism contract), 2 on usage errors.
+mismatch (a broken determinism contract), 2 on usage errors (including a
+``--resume`` whose journal belongs to a different campaign or worker
+count).
 """
 
 from __future__ import annotations
@@ -36,16 +42,12 @@ import sys
 from typing import List, Optional
 
 from repro.chaos.campaign import CampaignConfig
-from repro.chaos.runner import (
-    CampaignRun,
-    TrialResult,
-    run_campaign,
-    run_campaign_supervised,
-    verify_replay,
-)
+from repro.chaos.runner import TrialResult, run_campaign, verify_replay
 from repro.chaos.triage import CampaignReport, triage
 from repro.core.parallel import SweepRunnerConfig
+from repro.exec.errors import JournalMismatchError
 from repro.exec.policy import ExecutionPolicy
+from repro.exec.report import ExecutionReport
 
 
 def _format_report(report: CampaignReport) -> str:
@@ -88,13 +90,13 @@ def _write_artifacts(
     output_dir: str,
     report: CampaignReport,
     results: List[TrialResult],
-    run: Optional[CampaignRun] = None,
+    execution: Optional[ExecutionReport] = None,
 ) -> None:
     os.makedirs(output_dir, exist_ok=True)
-    if run is not None and run.execution is not None:
+    if execution is not None:
         execution_path = os.path.join(output_dir, "execution.json")
         with open(execution_path, "w", encoding="utf-8") as handle:
-            handle.write(run.execution.to_json(indent=2))
+            handle.write(execution.to_json(indent=2))
     traces_dir = os.path.join(output_dir, "traces")
     report_path = os.path.join(output_dir, "campaign.json")
     with open(report_path, "w", encoding="utf-8") as handle:
@@ -169,8 +171,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=None,
         metavar="PATH",
         help=(
-            "run under the supervised execution layer and journal every "
-            "completed trial chunk to PATH (JSON lines)"
+            "journal every completed trial group to PATH (JSON lines) and "
+            "write execution.json next to the artifacts"
         ),
     )
     parser.add_argument(
@@ -214,50 +216,59 @@ def main(argv: Optional[List[str]] = None) -> int:
             physics_rate_hz=args.physics_rate,
             max_faults=args.max_faults,
         )
+        runner_config = SweepRunnerConfig(
+            max_workers=1 if args.inline else args.workers,
+            policy=(
+                ExecutionPolicy(chunk_timeout_s=args.chunk_timeout)
+                if args.chunk_timeout is not None
+                else None
+            ),
+        )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    runner_config = SweepRunnerConfig(
-        max_workers=args.workers, parallel=not args.inline
-    )
-    run: Optional[CampaignRun] = None
-    if args.checkpoint:
-        policy = (
-            ExecutionPolicy(chunk_timeout_s=args.chunk_timeout)
-            if args.chunk_timeout is not None
-            else None
-        )
-        run = run_campaign_supervised(
+    try:
+        run = run_campaign(
             config,
             runner_config,
             journal_path=args.checkpoint,
-            policy=policy,
             engine=args.engine,
         )
-        results = run.results
-        if run.execution is not None:
-            print(
-                f"execution: state={run.execution.state} "
-                f"resumed={run.execution.chunks_resumed} "
-                f"retries={run.execution.retries} "
-                f"worker_deaths={run.execution.worker_deaths} "
-                f"hang_kills={run.execution.hang_kills}"
-            )
-        for record in run.quarantined:
-            print(
-                f"QUARANTINED trial {record.item_index}: "
-                f"{record.error_type}: {record.error_message} "
-                f"({record.attempts} attempt(s))",
-                file=sys.stderr,
-            )
-    else:
-        results = run_campaign(config, runner_config, engine=args.engine)
+    except JournalMismatchError as exc:
+        print(
+            f"error: {exc}; resume needs the same campaign flags and the "
+            "same --workers/--inline as the run that wrote the journal",
+            file=sys.stderr,
+        )
+        return 2
+    results = run.results
+    print(
+        f"execution: state={run.execution.state} "
+        f"resumed={run.execution.chunks_resumed} "
+        f"retries={run.execution.retries} "
+        f"worker_deaths={run.execution.worker_deaths} "
+        f"hang_kills={run.execution.hang_kills}"
+    )
+    for record in run.quarantined:
+        print(
+            f"QUARANTINED trial {record.item_index}: "
+            f"{record.error_type}: {record.error_message} "
+            f"({record.attempts} attempt(s))",
+            file=sys.stderr,
+        )
     report = triage(results)
     print(_format_report(report))
 
     if args.output:
-        _write_artifacts(args.output, report, results, run)
+        # execution.json only under --checkpoint: its worker accounting
+        # differs between --inline and pooled runs of the same campaign.
+        _write_artifacts(
+            args.output,
+            report,
+            results,
+            run.execution if args.checkpoint else None,
+        )
 
     if args.replay_failures:
         failed = [result for result in results if result.failed]

@@ -9,13 +9,13 @@ strict determinism: a :class:`TrialResult` is a pure function of
 :func:`replay_trial` re-fly any failure from its recorded ``(seed,
 schedule)`` tuple and assert bit-for-bit equality of verdicts and metrics.
 
-Campaigns fan trials out with :class:`repro.core.parallel
-.ParallelSweepRunner` — the same deterministic-chunking machinery the
-design-space sweeps use — so a multi-hundred-trial campaign saturates the
-machine without giving up input-order results.  By default each work item
-is a whole ensemble group (:func:`ensemble_groups`) flown by
-:mod:`repro.chaos.ensemble`; :func:`run_trial` stays the scalar oracle
-that replay and the equivalence tests compare against.
+:func:`run_campaign` fans trials out with :class:`repro.core.parallel
+.ParallelSweepRunner` — the same supervised, deterministic-chunking pool
+the design-space sweeps use — so a multi-hundred-trial campaign saturates
+the machine without giving up input-order results.  Each work item is a
+whole group of trials (:func:`ensemble_groups`), flown by
+:mod:`repro.chaos.ensemble` by default; :func:`run_trial` stays the scalar
+oracle that replay and the equivalence tests compare against.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from repro.chaos.campaign import CampaignConfig, TrialSpec, generate_campaign
 from repro.chaos.invariants import SafetyMonitor, Violation
 from repro.chaos.recorder import BlackBoxTrace, FlightRecorder
 from repro.core.parallel import ParallelSweepRunner, SweepRunnerConfig
-from repro.exec.policy import ExecutionPolicy
 from repro.exec.report import ExecState, ExecutionReport, QuarantineRecord
 from repro.faults.injectors import FaultInjector
 from repro.faults.scenarios import DEFAULT_MODEL, HEARTBEAT_PERIOD_S
@@ -270,12 +269,6 @@ def verify_replay(result: TrialResult, config: CampaignConfig) -> bool:
     return True
 
 
-def _run_trial_item(item: Tuple[TrialSpec, CampaignConfig]) -> TrialResult:
-    """Module-level worker entry point (must be picklable)."""
-    spec, config = item
-    return run_trial(spec, config)
-
-
 #: One ensemble group: its trials with their original campaign indices.
 EnsembleGroup = Tuple[Tuple[int, TrialSpec], ...]
 
@@ -330,31 +323,24 @@ def ensemble_groups(
     return groups
 
 
-def _run_ensemble_item(
-    item: Tuple[EnsembleGroup, CampaignConfig],
+def _fly_group(
+    item: Tuple[EnsembleGroup, CampaignConfig, str],
 ) -> List[Tuple[int, TrialResult]]:
-    """Module-level worker entry point: fly one ensemble group."""
-    from repro.chaos.ensemble import run_trials_ensemble
+    """Module-level worker entry point: fly one group on one engine.
 
-    group, config = item
-    results = run_trials_ensemble([spec for _, spec in group], config)
-    return [(index, result) for (index, _), result in zip(group, results)]
-
-
-def _group_items(
-    specs: Sequence[TrialSpec],
-    config: CampaignConfig,
-    runner_config: SweepRunnerConfig,
-    width: Optional[int],
-) -> Tuple[SweepRunnerConfig, List[Tuple[EnsembleGroup, CampaignConfig]]]:
-    """Ensemble work items, and a runner config submitting one per chunk.
-
-    A group is already a batch, so packing several into one pool chunk
-    would leave workers idle.
+    ``"ensemble"`` steps the whole group through
+    :func:`repro.chaos.ensemble.run_trials_ensemble`; ``"scalar"`` flies
+    it trial by trial with :func:`run_trial`.
     """
-    workers = runner_config.resolved_workers if runner_config.parallel else 1
-    items = [(group, config) for group in ensemble_groups(specs, workers, width)]
-    return replace(runner_config, chunk_size=1), items
+    group, config, engine = item
+    specs = [spec for _, spec in group]
+    if engine == "ensemble":
+        from repro.chaos.ensemble import run_trials_ensemble
+
+        results = run_trials_ensemble(specs, config)
+    else:
+        results = [run_trial(spec, config) for spec in specs]
+    return [(index, result) for (index, _), result in zip(group, results)]
 
 
 def _check_engine(engine: str) -> None:
@@ -365,137 +351,79 @@ def _check_engine(engine: str) -> None:
         )
 
 
-def run_campaign(
-    config: CampaignConfig,
-    runner_config: Optional[SweepRunnerConfig] = None,
-    *,
-    engine: str = "ensemble",
-    ensemble_width: Optional[int] = None,
-) -> List[TrialResult]:
-    """Fly the whole campaign; results come back in trial order.
-
-    Parallelism reuses :class:`repro.core.parallel.ParallelSweepRunner`'s
-    deterministic chunking, so inline and parallel runs return identical
-    result lists.  A worker death surfaces as a structured
-    :class:`repro.exec.errors.WorkerCrashError` (via the runner) rather
-    than an opaque ``BrokenProcessPool``; for a campaign that must
-    *survive* such faults, use :func:`run_campaign_supervised`.
-
-    The default ``engine="ensemble"`` flies trials in vectorized groups
-    (see :func:`ensemble_groups`; ``ensemble_width`` caps their width)
-    through :func:`repro.chaos.ensemble.run_trials_ensemble`, one group
-    per pool chunk.  ``engine="scalar"`` flies one :func:`run_trial` per
-    item.  Results are fingerprint-identical across engines (the contract
-    :func:`verify_replay` checks); the ensemble is just faster.
-    """
-    _check_engine(engine)
-    specs = generate_campaign(config)
-    base = (
-        runner_config
-        if runner_config is not None
-        else SweepRunnerConfig(parallel=False)
-    )
-    if engine == "scalar":
-        return ParallelSweepRunner(base).map(
-            _run_trial_item, [(spec, config) for spec in specs]
-        )
-    group_config, items = _group_items(specs, config, base, ensemble_width)
-    batches = ParallelSweepRunner(group_config).map(_run_ensemble_item, items)
-    return _in_trial_order(batches)
-
-
-def _in_trial_order(
-    batches: Sequence[List[Tuple[int, TrialResult]]],
-) -> List[TrialResult]:
-    """Flatten ``(trial index, result)`` batches back into trial order."""
-    by_index = dict(pair for batch in batches for pair in batch)
-    return [by_index[index] for index in sorted(by_index)]
-
-
 @dataclass
 class CampaignRun:
-    """A supervised campaign: surviving trials plus execution accounting."""
+    """A campaign's surviving trials plus its execution accounting."""
 
     #: Trial results in trial order; quarantined trials are absent here
     #: and listed in :attr:`quarantined` instead.
     results: List[TrialResult]
     #: One record per quarantined trial; ``item_index`` is its trial index.
     quarantined: Tuple[QuarantineRecord, ...]
-    execution: Optional[ExecutionReport]
+    execution: ExecutionReport
 
 
-def run_campaign_supervised(
+def run_campaign(
     config: CampaignConfig,
     runner_config: Optional[SweepRunnerConfig] = None,
-    journal_path: Optional["os.PathLike[str] | str"] = None,
-    policy: Optional[ExecutionPolicy] = None,
     *,
+    journal_path: Optional["os.PathLike[str] | str"] = None,
     engine: str = "ensemble",
     ensemble_width: Optional[int] = None,
 ) -> CampaignRun:
-    """Fly the campaign under the fault-tolerant execution layer.
+    """Fly the whole campaign; results come back in trial order.
 
-    Trials run through :class:`repro.exec.supervised.SupervisedPool`:
-    worker deaths and hangs are retried, a trial that poisons every retry
-    is quarantined instead of aborting the campaign, and — when
-    ``journal_path`` is given — every completed chunk is checkpointed so a
-    killed campaign resumes from the journal with results bit-for-bit
-    identical to an uninterrupted run (trial chunks are regenerated from
-    ``(campaign_seed, trial_index)``, so the journal fingerprint check
-    guarantees the resumed chunks belong to this exact campaign).
+    The trials are split into :func:`ensemble_groups` (``ensemble_width``
+    caps their size) and mapped one group per chunk through
+    :class:`repro.core.parallel.ParallelSweepRunner`, i.e. the supervised
+    pool of :mod:`repro.exec`, so inline (``max_workers=1``, the default)
+    and parallel runs return identical results.  ``engine="ensemble"``
+    flies each group in lockstep through
+    :func:`repro.chaos.ensemble.run_trials_ensemble`; ``engine="scalar"``
+    flies it trial by trial with :func:`run_trial`.  Results are
+    fingerprint-identical across engines (the contract
+    :func:`verify_replay` checks); the ensemble is just faster.
 
-    With the default ``engine="ensemble"`` each supervised work item is a
-    whole ensemble group, so retries happen per group.  A group that
-    poisons every retry is re-flown trial by trial on the scalar engine
-    under the same supervision, so only its poison trial is quarantined.
-    Those re-flights are not journaled: a resumed campaign restores the
+    ``runner_config.policy`` governs supervision: worker deaths and hangs
+    are retried, and a group that fails every retry is re-flown trial by
+    trial on the scalar engine so that only its poison trial is
+    quarantined (listed in :attr:`CampaignRun.quarantined`, absent from
+    :attr:`CampaignRun.results`).  With ``journal_path`` every completed
+    group is checkpointed, so a killed campaign resumes from the journal
+    with results bit-for-bit identical to an uninterrupted run; the
+    grouping depends on the worker count, so resume with the same one.
+    Re-flights are not journaled: a resumed campaign restores a
     quarantined group from the journal and re-flies it again.
     """
     _check_engine(engine)
     specs = generate_campaign(config)
-    base = (
-        runner_config
-        if runner_config is not None
-        else SweepRunnerConfig(parallel=False)
+    # A group is already a batch: packing several into one pool chunk
+    # would leave workers idle.
+    group_config = replace(
+        runner_config or SweepRunnerConfig(max_workers=1), chunk_size=1
     )
-    supervised_config = replace(
-        base, supervised=True, policy=policy if policy is not None else base.policy
-    )
-    if engine == "scalar":
-        runner = ParallelSweepRunner(supervised_config)
-        raw = runner.map(
-            _run_trial_item,
-            [(spec, config) for spec in specs],
-            journal=journal_path,
-        )
-        results = [result for result in raw if isinstance(result, TrialResult)]
-        report = runner.last_report
-        quarantined = tuple(report.quarantined) if report is not None else ()
-        return CampaignRun(
-            results=results, quarantined=quarantined, execution=report
-        )
-
-    group_config, items = _group_items(
-        specs, config, supervised_config, ensemble_width
-    )
+    groups = ensemble_groups(specs, group_config.resolved_workers, ensemble_width)
     runner = ParallelSweepRunner(group_config)
-    raw = runner.map(_run_ensemble_item, items, journal=journal_path)
+    raw = runner.map(
+        _fly_group,
+        [(group, config, engine) for group in groups],
+        journal=journal_path,
+    )
     report = runner.last_report
     assert report is not None
     batches = [batch for batch in raw if isinstance(batch, list)]
     # Quarantined groups come back as failure codes, not result lists.
     poisoned = [
         (chunk_id, spec)
-        for chunk_id, ((group, _), batch) in enumerate(zip(items, raw))
+        for chunk_id, (group, batch) in enumerate(zip(groups, raw))
         if not isinstance(batch, list)
         for _, spec in group
     ]
     if poisoned:
-        batches.append(
-            _refly_poisoned(poisoned, config, supervised_config, report)
-        )
+        batches.append(_refly_poisoned(poisoned, config, group_config, report))
+    by_index = dict(pair for batch in batches for pair in batch)
     return CampaignRun(
-        results=_in_trial_order(batches),
+        results=[by_index[index] for index in sorted(by_index)],
         quarantined=tuple(report.quarantined),
         execution=report,
     )
@@ -504,7 +432,7 @@ def run_campaign_supervised(
 def _refly_poisoned(
     poisoned: List[Tuple[int, TrialSpec]],
     config: CampaignConfig,
-    supervised_config: SweepRunnerConfig,
+    group_config: SweepRunnerConfig,
     report: ExecutionReport,
 ) -> List[Tuple[int, TrialResult]]:
     """Re-fly quarantined groups' trials one by one on the scalar engine.
@@ -517,8 +445,11 @@ def _refly_poisoned(
         f"re-flying {len(poisoned)} trial(s) of quarantined ensemble "
         "group(s) on the scalar engine",
     )
-    runner = ParallelSweepRunner(replace(supervised_config, chunk_size=1))
-    raw = runner.map(_run_trial_item, [(spec, config) for _, spec in poisoned])
+    runner = ParallelSweepRunner(group_config)
+    raw = runner.map(
+        _fly_group,
+        [(((spec.trial_index, spec),), config, "scalar") for _, spec in poisoned],
+    )
     refly = runner.last_report
     assert refly is not None
     report.retries += refly.retries
@@ -534,8 +465,4 @@ def _refly_poisoned(
         )
         for record in refly.quarantined
     ]
-    return [
-        (spec.trial_index, result)
-        for (_, spec), result in zip(poisoned, raw)
-        if isinstance(result, TrialResult)
-    ]
+    return [pair for batch in raw if isinstance(batch, list) for pair in batch]

@@ -1,4 +1,4 @@
-"""Opt-in parallel runner for simulator-backed sweep workloads.
+"""Parallel runner for simulator-backed sweep workloads.
 
 The vectorized engine (:mod:`repro.core.batch`) makes the closed-form
 Equation 1-7 sweeps cheap enough that process parallelism would only add
@@ -7,30 +7,31 @@ a full :class:`repro.sim.simulator.FlightSimulator` run (tens of thousands
 of physics ticks of pure-Python work), so fanning points out across worker
 processes wins near-linearly.
 
-:class:`ParallelSweepRunner` wraps ``concurrent.futures.ProcessPoolExecutor``
-with the guarantees a reproduction repo needs:
+:class:`ParallelSweepRunner` is a thin front end over
+:class:`repro.exec.supervised.SupervisedPool`, the one worker pool behind
+every sweep and chaos campaign, with the guarantees a reproduction repo
+needs:
 
 * **Deterministic chunking** — items are split into fixed-size contiguous
-  chunks ``[items[0:n], items[n:2n], ...]``; the split depends only on the
-  input order and :class:`SweepRunnerConfig`, never on worker scheduling.
+  chunks ``[items[0:n], items[n:2n], ...]`` (:func:`chunk_items`); the
+  split depends only on the input order and :class:`SweepRunnerConfig`,
+  never on worker scheduling.
 * **Deterministic ordering** — results always come back in input order, so
   a parallel run is a drop-in substitute for the serial loop it replaces.
 * **Worker count from config** — ``SweepRunnerConfig.max_workers`` (default:
-  ``os.cpu_count()``); ``parallel=False`` runs everything inline in the
+  ``os.cpu_count()``); ``max_workers=1`` runs everything inline in the
   calling process, which is the mode tests use to stay hermetic.
-* **Attributed failures** — a chunk exception cancels all pending chunks,
-  shuts the executor down with ``cancel_futures=True``, and re-raises the
-  original exception with the failing item's global index attached as
-  ``sweep_item_index``; a worker death surfaces as a structured
+* **Supervision** — retries with backoff, heartbeat hang detection,
+  poison-item quarantine, graceful degradation to inline execution, and
+  checkpoint/resume (``journal=``), tuned by ``SweepRunnerConfig.policy``.
+  The :class:`repro.exec.report.ExecutionReport` of the last map is on
+  ``runner.last_report``.
+* **Fail-fast** — ``policy=ExecutionPolicy(max_attempts=1,
+  quarantine=False)`` re-raises the first failing item's original
+  exception with its global index attached as ``sweep_item_index``; a
+  worker death surfaces as a structured
   :class:`repro.exec.errors.WorkerCrashError` instead of an opaque
   ``BrokenProcessPool``.
-* **Supervised mode** — ``SweepRunnerConfig(supervised=True)`` (or passing
-  ``journal=`` to :meth:`ParallelSweepRunner.map`) routes execution
-  through :class:`repro.exec.supervised.SupervisedPool`: retries with
-  backoff, heartbeat hang detection, poison-item quarantine, graceful
-  degradation to inline execution, and checkpoint/resume.  The resulting
-  :class:`repro.exec.report.ExecutionReport` is exposed on
-  ``runner.last_report``.
 
 The mapped callable runs in worker processes, so it (and its arguments)
 must be picklable — define it at module level, not as a lambda or closure.
@@ -39,13 +40,13 @@ must be picklable — define it at module level, not as a lambda or closure.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, List, Optional, Sequence, TypeVar, Union
+from typing import Any, Callable, Iterable, List, Optional, TypeVar, Union
 
-from repro.exec.errors import ChunkExecutionError, WorkerCrashError
+from repro.exec import chunk_items
 from repro.exec.policy import ExecutionPolicy
+
+__all__ = ["ParallelSweepRunner", "SweepRunnerConfig", "chunk_items"]
 
 _ItemT = TypeVar("_ItemT")
 _ResultT = TypeVar("_ResultT")
@@ -57,10 +58,6 @@ class SweepRunnerConfig:
 
     max_workers: Optional[int] = None
     chunk_size: int = 4
-    parallel: bool = True
-    #: Route execution through the supervised pool (retries, quarantine,
-    #: degradation) even when no checkpoint journal is attached.
-    supervised: bool = False
     #: Supervision knobs; ``None`` uses :class:`ExecutionPolicy` defaults.
     policy: Optional[ExecutionPolicy] = None
 
@@ -80,42 +77,13 @@ class SweepRunnerConfig:
         return max(1, os.cpu_count() or 1)
 
 
-def _run_chunk(
-    fn: Callable[[_ItemT], _ResultT], chunk: Sequence[_ItemT]
-) -> List[_ResultT]:
-    """Evaluate one contiguous chunk in a worker process."""
-    return [fn(item) for item in chunk]
-
-
-def _run_chunk_span(
-    fn: Callable[[_ItemT], _ResultT],
-    chunk: Sequence[_ItemT],
-    base_index: int,
-) -> List[_ResultT]:
-    """Evaluate one chunk, attributing any failure to its global index."""
-    results: List[_ResultT] = []
-    for offset, item in enumerate(chunk):
-        try:
-            results.append(fn(item))
-        except Exception as exc:
-            raise ChunkExecutionError(base_index + offset, exc) from None
-    return results
-
-
-def chunk_items(items: Sequence[_ItemT], chunk_size: int) -> List[Sequence[_ItemT]]:
-    """Split ``items`` into contiguous chunks of at most ``chunk_size``."""
-    if chunk_size <= 0:
-        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-    return [items[start : start + chunk_size] for start in range(0, len(items), chunk_size)]
-
-
 class ParallelSweepRunner:
     """Map a picklable callable over design points across worker processes."""
 
     def __init__(self, config: Optional[SweepRunnerConfig] = None):
         self.config = config if config is not None else SweepRunnerConfig()
         #: :class:`repro.exec.report.ExecutionReport` of the most recent
-        #: supervised :meth:`map` call, else ``None``.
+        #: :meth:`map` call, else ``None``.
         self.last_report: Optional[Any] = None
 
     def map(
@@ -127,82 +95,23 @@ class ParallelSweepRunner:
     ) -> List[_ResultT]:
         """``[fn(item) for item in items]`` — possibly across processes.
 
-        Results are returned in input order.  An exception raised by ``fn``
-        for any item cancels the remaining chunks and propagates to the
-        caller with ``sweep_item_index`` attached, matching the serial
-        loop's behavior; callables that must survive infeasible points
-        should catch and encode their own errors — or run supervised
-        (``config.supervised=True`` or ``journal=``), where poison items
-        are quarantined as :class:`repro.exec.supervised.QuarantinedItem`
-        failure codes instead of aborting the sweep.
+        Results are returned in input order.  Under the default policy an
+        item whose ``fn`` fails every retry is quarantined: its slot holds
+        a :class:`repro.exec.supervised.QuarantinedItem` failure code and
+        the sweep completes.  A fail-fast policy re-raises the original
+        exception with ``sweep_item_index`` attached instead.  ``journal``
+        checkpoints every completed chunk for resume.
         """
-        self.last_report = None
-        materialized = list(items)
-        if not materialized:
-            return []
-        if self.config.supervised or journal is not None:
-            return self._map_supervised(fn, materialized, journal)
-        workers = min(self.config.resolved_workers, len(materialized))
-        if not self.config.parallel or workers == 1:
-            return self._map_serial(fn, materialized)
-        chunks = chunk_items(materialized, self.config.chunk_size)
-        pool_workers = min(workers, len(chunks))
-        pool = ProcessPoolExecutor(max_workers=pool_workers)
-        try:
-            futures = [
-                pool.submit(
-                    _run_chunk_span, fn, chunk, cid * self.config.chunk_size
-                )
-                for cid, chunk in enumerate(chunks)
-            ]
-            chunk_results: List[List[_ResultT]] = []
-            for chunk_id, future in enumerate(futures):
-                try:
-                    chunk_results.append(future.result())
-                except ChunkExecutionError as exc:
-                    for pending in futures:
-                        pending.cancel()
-                    original = exc.original
-                    setattr(original, "sweep_item_index", exc.item_index)
-                    raise original from None
-                except BrokenProcessPool as exc:
-                    for pending in futures:
-                        pending.cancel()
-                    raise WorkerCrashError(
-                        chunk_id=chunk_id, workers=pool_workers, attempt=1
-                    ) from exc
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-        return [result for chunk in chunk_results for result in chunk]
-
-    def _map_serial(
-        self, fn: Callable[[_ItemT], _ResultT], items: Sequence[_ItemT]
-    ) -> List[_ResultT]:
-        """The inline fallback, with the same failure attribution."""
-        results: List[_ResultT] = []
-        for index, item in enumerate(items):
-            try:
-                results.append(fn(item))
-            except Exception as exc:
-                setattr(exc, "sweep_item_index", index)
-                raise
-        return results
-
-    def _map_supervised(
-        self,
-        fn: Callable[[_ItemT], _ResultT],
-        items: Sequence[_ItemT],
-        journal: Optional[Union[str, "os.PathLike[str]", Any]],
-    ) -> List[_ResultT]:
+        # Imported lazily: the pool's module is only paid for when mapping.
         from repro.exec.supervised import SupervisedPool
 
+        materialized = list(items)
         pool = SupervisedPool(
-            workers=min(self.config.resolved_workers, len(items)),
+            workers=max(1, min(self.config.resolved_workers, len(materialized))),
             chunk_size=self.config.chunk_size,
             policy=self.config.policy,
             journal=journal,
-            parallel=self.config.parallel,
         )
-        outcome = pool.map(fn, items)
+        outcome = pool.map(fn, materialized)
         self.last_report = outcome.report
         return outcome.results

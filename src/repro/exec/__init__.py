@@ -1,8 +1,11 @@
 """Fault-tolerant execution layer for sweeps and chaos campaigns.
 
-Wraps and supersedes the bare ``ProcessPoolExecutor`` under
-:class:`repro.core.parallel.ParallelSweepRunner`:
+The one place that builds worker pools: every
+:class:`repro.core.parallel.ParallelSweepRunner` sweep and every chaos
+campaign runs through it.
 
+* :func:`chunk_items` — the deterministic contiguous chunking every map
+  uses;
 * :mod:`repro.exec.supervised` — the :class:`SupervisedPool`: per-chunk
   futures with retries, heartbeat hang detection, poison-item quarantine
   by bisection, and graceful degradation to inline execution;
@@ -18,12 +21,22 @@ Wraps and supersedes the bare ``ProcessPoolExecutor`` under
   ``BrokenProcessPool``.
 
 Exports resolve lazily (PEP 562): ``repro.core.parallel`` imports
-submodules of this package at module level, and a lazy ``__init__``
-keeps that edge acyclic.
+this package at module level, and a lazy ``__init__`` keeps that edge
+acyclic and cheap.
 """
 
 from importlib import import_module
-from typing import Any, List
+from typing import Any, List, Sequence, TypeVar
+
+_ItemT = TypeVar("_ItemT")
+
+
+def chunk_items(items: Sequence[_ItemT], chunk_size: int) -> List[Sequence[_ItemT]]:
+    """Split ``items`` into contiguous chunks of at most ``chunk_size``."""
+    if chunk_size <= 0:
+        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
+    return [items[start : start + chunk_size] for start in range(0, len(items), chunk_size)]
+
 
 _EXPORTS = {
     "SupervisedPool": "repro.exec.supervised",
@@ -45,7 +58,7 @@ _EXPORTS = {
     "WorkerFaultSpec": "repro.exec.faultsim",
 }
 
-__all__: List[str] = list(_EXPORTS)
+__all__: List[str] = ["chunk_items", *_EXPORTS]
 
 
 def __getattr__(name: str) -> Any:

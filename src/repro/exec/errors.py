@@ -17,9 +17,11 @@ class WorkerCrashError(RuntimeError):
     """A worker process died (``BrokenProcessPool``) with attribution.
 
     Raised instead of the opaque ``BrokenProcessPool`` everywhere a worker
-    death can surface: the bare :class:`repro.core.parallel
-    .ParallelSweepRunner` map, the supervised pool's retry loop, and the
-    chaos campaign runner that sits on top of both.
+    death can surface: the supervised pool's retry loop records it, and a
+    fail-fast policy (``ExecutionPolicy(max_attempts=1,
+    quarantine=False)``) raises it from
+    :meth:`repro.core.parallel.ParallelSweepRunner.map` and the chaos
+    campaign runner that sits on top.
     """
 
     def __init__(
@@ -78,7 +80,7 @@ class ChunkExecutionError(Exception):
     """Picklable wrapper: ``fn`` raised for one item inside a worker chunk.
 
     Raised *in the worker* around the original exception so the supervisor
-    (or the bare runner) learns the global index of the failing item — the
+    learns the global index of the failing item — the
     attribution the serial loop gets for free from its stack trace.
     """
 

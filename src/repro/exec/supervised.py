@@ -1,8 +1,8 @@
 """Supervised worker pool: retries, hang kills, quarantine, checkpointing.
 
-This is the fault-tolerant execution layer under every sweep and chaos
-campaign.  It keeps the determinism contract of
-:class:`repro.core.parallel.ParallelSweepRunner` — contiguous chunks,
+This is the one worker pool under every sweep and chaos campaign
+(:class:`repro.core.parallel.ParallelSweepRunner` delegates here).  It
+keeps the serial loop's determinism contract — contiguous chunks,
 input-order results, bit-for-bit agreement with the serial loop — while
 surviving the worker pathologies that abort a bare
 ``ProcessPoolExecutor`` run:
@@ -28,6 +28,10 @@ surviving the worker pathologies that abort a bare
   .CheckpointJournal` attached, every completed chunk is durably
   journaled; a killed run resumes from the last completed chunk and
   produces output bit-for-bit identical to an uninterrupted run.
+* **Fail-fast**: with ``ExecutionPolicy(max_attempts=1,
+  quarantine=False)`` the first failing item's original exception is
+  re-raised with its global index attached as ``sweep_item_index``, and
+  a worker death as a :class:`~repro.exec.errors.WorkerCrashError`.
 
 Determinism argument: results live in slots indexed by chunk id; a retry
 recomputes ``fn(item)`` for the same items in the same order, so for a
@@ -64,6 +68,7 @@ from typing import (
 )
 
 from repro.analysis.markers import hot_path_safe
+from repro.exec import chunk_items
 from repro.exec.errors import (
     ChunkExecutionError,
     ChunkTimeoutError,
@@ -127,17 +132,6 @@ def _run_span(
     return results
 
 
-def _chunk_spans(items: Sequence[Any], chunk_size: int) -> List[Sequence[Any]]:
-    """Contiguous chunks of at most ``chunk_size`` (local to avoid an
-    import cycle with :mod:`repro.core.parallel`, which delegates here)."""
-    if chunk_size <= 0:
-        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-    return [
-        items[start : start + chunk_size]
-        for start in range(0, len(items), chunk_size)
-    ]
-
-
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
     """Forcibly stop a pool whose workers may be hung or dead."""
     processes = dict(getattr(pool, "_processes", None) or {})
@@ -169,7 +163,6 @@ class SupervisedPool:
         chunk_size: int = 4,
         policy: Optional[ExecutionPolicy] = None,
         journal: Optional[Union[CheckpointJournal, str, "os.PathLike[str]"]] = None,
-        parallel: bool = True,
     ) -> None:
         if workers <= 0:
             raise ValueError(f"workers must be positive: {workers}")
@@ -180,13 +173,12 @@ class SupervisedPool:
             self.journal = journal
         else:
             self.journal = CheckpointJournal(journal)
-        self.parallel = parallel
 
     # -- public API -------------------------------------------------------
 
     def map(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> ExecutionOutcome:
         materialized = list(items)
-        chunks = _chunk_spans(materialized, self.chunk_size)
+        chunks = chunk_items(materialized, self.chunk_size)
         report = ExecutionReport(
             chunks_total=len(chunks), final_workers=self.workers
         )
@@ -215,7 +207,7 @@ class SupervisedPool:
         pending = [cid for cid in range(len(chunks)) if cid not in results]
         workers = max(1, min(self.workers, max(len(pending), 1)))
         if pending:
-            if not self.parallel or workers == 1:
+            if workers == 1:
                 self._run_inline(
                     fn, chunks, fingerprints, pending, results, report,
                     reason="configured inline",
@@ -324,7 +316,8 @@ class SupervisedPool:
 
                 retry: List[int] = []
                 poisoned: List[Tuple[int, BaseException]] = []
-                for cid, exc in failures:
+                # Chunk order, so fail-fast raises the serial loop's error.
+                for cid, exc in sorted(failures, key=lambda failure: failure[0]):
                     if exc is not None and attempts[cid] >= policy.max_attempts:
                         poisoned.append((cid, exc))
                     else:
@@ -507,6 +500,9 @@ class SupervisedPool:
         report: ExecutionReport,
     ) -> None:
         if not self.policy.quarantine:
+            if isinstance(exc, ChunkExecutionError):
+                setattr(exc.original, "sweep_item_index", exc.item_index)
+                raise exc.original from None
             raise exc
         report.record(
             ExecState.RETRYING,
@@ -655,6 +651,7 @@ class SupervisedPool:
                         failure = exc
                 if failure is not None:
                     if not policy.quarantine:
+                        setattr(failure, "sweep_item_index", base_index + offset)
                         raise failure
                     record = self._quarantine_record(
                         base_index + offset,

@@ -194,9 +194,7 @@ def degradation_study(
             for scenario in matrix
         )
     if runner is None:
-        runner = ParallelSweepRunner(
-            SweepRunnerConfig(parallel=False, supervised=True)
-        )
+        runner = ParallelSweepRunner(SweepRunnerConfig(max_workers=1))
     pairs = runner.map(
         _scenario_pair, [scenario.name for scenario in matrix], journal=journal
     )

@@ -48,7 +48,9 @@ def campaign_results():
     It flies on the default ensemble engine; every replay below re-flies
     on the scalar engine (``run_trial``), the oracle.
     """
-    return run_campaign(ACCEPTANCE_CONFIG, SweepRunnerConfig(parallel=False))
+    return run_campaign(
+        ACCEPTANCE_CONFIG, SweepRunnerConfig(max_workers=1)
+    ).results
 
 
 def test_campaign_shape(campaign_results):

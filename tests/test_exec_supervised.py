@@ -10,7 +10,7 @@ reproducing an uninterrupted run bit-for-bit.
 Faults are injected with the package's own self-chaos harness
 (:mod:`repro.exec.faultsim`), so every scenario here exercises real
 worker processes (or the real inline fallback), not mocks.  The
-``TestInline*`` classes are the hermetic tier-1 subset: ``parallel=False``
+``TestInline*`` classes are the hermetic tier-1 subset: ``workers=1``
 plus simulated faults, no subprocesses.
 """
 
@@ -83,7 +83,7 @@ def _pool(tmp_path, **kwargs) -> SupervisedPool:
 
 class TestInlineSupervision:
     def test_matches_serial_loop(self, tmp_path):
-        outcome = SupervisedPool(parallel=False, chunk_size=3).map(
+        outcome = SupervisedPool(workers=1, chunk_size=3).map(
             _times_ten, ITEMS
         )
         assert outcome.results == SERIAL
@@ -92,7 +92,7 @@ class TestInlineSupervision:
         assert outcome.report.state == ExecState.INLINE.value
 
     def test_empty_items(self):
-        outcome = SupervisedPool(parallel=False).map(_times_ten, [])
+        outcome = SupervisedPool(workers=1).map(_times_ten, [])
         assert outcome.results == []
         assert outcome.report.chunks_total == 0
 
@@ -102,7 +102,7 @@ class TestInlineSupervision:
             {6: WorkerFaultSpec(FAULT_CRASH, until_attempt=1)},
             tmp_path,
         )
-        outcome = _pool(tmp_path, parallel=False).map(faulty, ITEMS)
+        outcome = _pool(tmp_path, workers=1).map(faulty, ITEMS)
         assert outcome.results == SERIAL
         assert outcome.report.retries >= 1
         assert not outcome.report.quarantined
@@ -112,7 +112,7 @@ class TestInlineSupervision:
             _times_ten, {4: WorkerFaultSpec(FAULT_CRASH)}, tmp_path
         )
         policy = ExecutionPolicy(max_attempts=2, **FAST)
-        outcome = SupervisedPool(parallel=False, chunk_size=4, policy=policy).map(
+        outcome = SupervisedPool(workers=1, chunk_size=4, policy=policy).map(
             faulty, ITEMS
         )
         # Survivors are bit-for-bit the serial loop's values...
@@ -134,8 +134,9 @@ class TestInlineSupervision:
             _times_ten, {4: WorkerFaultSpec(FAULT_CRASH)}, tmp_path
         )
         policy = ExecutionPolicy(max_attempts=1, quarantine=False, **FAST)
-        with pytest.raises(WorkerFault):
-            SupervisedPool(parallel=False, policy=policy).map(faulty, ITEMS)
+        with pytest.raises(WorkerFault) as excinfo:
+            SupervisedPool(workers=1, policy=policy).map(faulty, ITEMS)
+        assert excinfo.value.sweep_item_index == 4
 
     def test_seeded_flaky_fault_is_reproducible(self, tmp_path):
         spec = WorkerFaultSpec(FAULT_FLAKY, probability=0.5)
@@ -163,11 +164,11 @@ class TestInlineSupervision:
 class TestInlineJournal:
     def test_resume_is_bit_for_bit(self, tmp_path):
         journal_path = tmp_path / "journal.jsonl"
-        uninterrupted = SupervisedPool(parallel=False, chunk_size=4).map(
+        uninterrupted = SupervisedPool(workers=1, chunk_size=4).map(
             _times_ten, ITEMS
         )
         full = SupervisedPool(
-            parallel=False, chunk_size=4, journal=journal_path
+            workers=1, chunk_size=4, journal=journal_path
         ).map(_times_ten, ITEMS)
         assert full.results == uninterrupted.results
 
@@ -177,7 +178,7 @@ class TestInlineJournal:
         lines = journal_path.read_text().splitlines(keepends=True)
         journal_path.write_text("".join(lines[:2]))
         resumed = SupervisedPool(
-            parallel=False, chunk_size=4, journal=journal_path
+            workers=1, chunk_size=4, journal=journal_path
         ).map(_times_ten, ITEMS)
         assert resumed.results == uninterrupted.results
         assert resumed.report.chunks_resumed == 1
@@ -186,7 +187,7 @@ class TestInlineJournal:
     def test_resumed_chunks_do_not_rerun(self, tmp_path):
         journal_path = tmp_path / "journal.jsonl"
         clean = FaultyCallable(_times_ten, {}, tmp_path)
-        SupervisedPool(parallel=False, chunk_size=5, journal=journal_path).map(
+        SupervisedPool(workers=1, chunk_size=5, journal=journal_path).map(
             clean, ITEMS
         )
         # Same wrapper type and items -> same run fingerprint, but now
@@ -198,7 +199,7 @@ class TestInlineJournal:
             tmp_path,
         )
         outcome = SupervisedPool(
-            parallel=False, chunk_size=5, journal=journal_path
+            workers=1, chunk_size=5, journal=journal_path
         ).map(poisoned, ITEMS)
         assert outcome.results == SERIAL
         assert outcome.report.chunks_resumed == 2
@@ -206,26 +207,26 @@ class TestInlineJournal:
 
     def test_truncated_final_line_tolerated(self, tmp_path):
         journal_path = tmp_path / "journal.jsonl"
-        SupervisedPool(parallel=False, chunk_size=4, journal=journal_path).map(
+        SupervisedPool(workers=1, chunk_size=4, journal=journal_path).map(
             _times_ten, ITEMS
         )
         with open(journal_path, "a", encoding="utf-8") as handle:
             handle.write('{"chunk_id": 99, "fingerprint": "dead')  # no newline
         resumed = SupervisedPool(
-            parallel=False, chunk_size=4, journal=journal_path
+            workers=1, chunk_size=4, journal=journal_path
         ).map(_times_ten, ITEMS)
         assert resumed.results == SERIAL
         assert resumed.report.chunks_resumed == 3
 
     def test_foreign_journal_rejected(self, tmp_path):
         journal_path = tmp_path / "journal.jsonl"
-        SupervisedPool(parallel=False, chunk_size=4, journal=journal_path).map(
+        SupervisedPool(workers=1, chunk_size=4, journal=journal_path).map(
             _times_ten, ITEMS
         )
         with pytest.raises(JournalMismatchError):
             # Different chunking -> different run fingerprint.
             SupervisedPool(
-                parallel=False, chunk_size=3, journal=journal_path
+                workers=1, chunk_size=3, journal=journal_path
             ).map(_times_ten, ITEMS)
 
     def test_quarantine_survives_resume(self, tmp_path):
@@ -235,11 +236,11 @@ class TestInlineJournal:
         )
         policy = ExecutionPolicy(max_attempts=1, **FAST)
         first = SupervisedPool(
-            parallel=False, chunk_size=4, policy=policy, journal=journal_path
+            workers=1, chunk_size=4, policy=policy, journal=journal_path
         ).map(faulty, ITEMS)
         assert first.report.quarantine_report().item_indices == (4,)
         resumed = SupervisedPool(
-            parallel=False, chunk_size=4, policy=policy, journal=journal_path
+            workers=1, chunk_size=4, policy=policy, journal=journal_path
         ).map(faulty, ITEMS)
         assert resumed.results == first.results
         assert resumed.report.chunks_resumed == 3
@@ -386,15 +387,17 @@ class TestSigkillResume:
 class TestChaosCampaignResume:
     def test_killed_campaign_resumes_bit_for_bit(self, tmp_path):
         from repro.chaos.campaign import CampaignConfig
-        from repro.chaos.runner import run_campaign, run_campaign_supervised
+        from repro.chaos.runner import run_campaign
 
         config = CampaignConfig(campaign_seed=404, trials=3, duration_s=8.0)
-        runner_config = SweepRunnerConfig(parallel=False, chunk_size=1)
-        expected = run_campaign(config, runner_config, engine="scalar")
+        runner_config = SweepRunnerConfig(max_workers=1)
+        expected = run_campaign(config, runner_config, engine="scalar").results
 
         journal_path = tmp_path / "campaign.jsonl"
-        full = run_campaign_supervised(
-            config, runner_config, journal_path=journal_path, engine="scalar"
+        # ensemble_width=1: one trial per group, so one journal entry each.
+        full = run_campaign(
+            config, runner_config, journal_path=journal_path,
+            engine="scalar", ensemble_width=1,
         )
         assert len(full.results) == len(expected)
 
@@ -402,8 +405,9 @@ class TestChaosCampaignResume:
         lines = journal_path.read_text().splitlines(keepends=True)
         assert len(lines) == 1 + config.trials  # header + one entry per trial
         journal_path.write_text("".join(lines[:2]))
-        resumed = run_campaign_supervised(
-            config, runner_config, journal_path=journal_path, engine="scalar"
+        resumed = run_campaign(
+            config, runner_config, journal_path=journal_path,
+            engine="scalar", ensemble_width=1,
         )
         assert resumed.execution is not None
         assert resumed.execution.chunks_resumed == 1
@@ -418,16 +422,14 @@ class TestChaosCampaignResume:
 
     def test_killed_ensemble_campaign_resumes_bit_for_bit(self, tmp_path):
         from repro.chaos.campaign import CampaignConfig
-        from repro.chaos.runner import run_campaign, run_campaign_supervised
+        from repro.chaos.runner import run_campaign
 
         config = CampaignConfig(campaign_seed=6, trials=4, duration_s=6.5)
-        runner_config = SweepRunnerConfig(parallel=False)
-        expected = run_campaign(config, runner_config, engine="scalar")
+        runner_config = SweepRunnerConfig(max_workers=1)
+        expected = run_campaign(config, runner_config, engine="scalar").results
 
         journal_path = tmp_path / "campaign.jsonl"
-        full = run_campaign_supervised(
-            config, runner_config, journal_path=journal_path
-        )
+        full = run_campaign(config, runner_config, journal_path=journal_path)
         assert full.execution is not None
         groups = full.execution.chunks_total
         assert groups == 2  # one ensemble group per use_ekf partition
@@ -435,9 +437,7 @@ class TestChaosCampaignResume:
         lines = journal_path.read_text().splitlines(keepends=True)
         assert len(lines) == 1 + groups
         journal_path.write_text("".join(lines[:2]))
-        resumed = run_campaign_supervised(
-            config, runner_config, journal_path=journal_path
-        )
+        resumed = run_campaign(config, runner_config, journal_path=journal_path)
         assert resumed.execution is not None
         assert resumed.execution.chunks_resumed == 1
         assert not resumed.quarantined
@@ -449,35 +449,29 @@ class TestChaosCampaignResume:
             if want.trace is not None:
                 assert got.trace.fingerprint() == want.trace.fingerprint()
 
+    @pytest.mark.parametrize("engine", ("ensemble", "scalar"))
     def test_poisoned_group_quarantines_only_its_poison_trial(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, engine
     ):
         """A group failing every retry is re-flown trial by trial."""
         from repro.chaos import runner
-        from repro.chaos.campaign import CampaignConfig, generate_campaign
+        from repro.chaos.campaign import CampaignConfig
 
         config = CampaignConfig(campaign_seed=6, trials=4, duration_s=6.5)
-        expected = runner.run_campaign(config, engine="scalar")
-        group = max(
-            runner.ensemble_groups(generate_campaign(config)), key=len
-        )
-        assert len(group) >= 2
-        poison = group[1][0]
+        expected = runner.run_campaign(config, engine="scalar").results
+        poison = _poison_trial(config)
         fault = FaultyCallable(
             _identity, {poison: WorkerFaultSpec(FAULT_CRASH)}, tmp_path
         )
         monkeypatch.setattr(
-            runner,
-            "_run_ensemble_item",
-            _FaultOnTrial(runner._run_ensemble_item, fault),
+            runner, "_fly_group", _FaultOnTrial(runner._fly_group, fault)
         )
-        monkeypatch.setattr(
-            runner,
-            "_run_trial_item",
-            _FaultOnTrial(runner._run_trial_item, fault),
-        )
-        run = runner.run_campaign_supervised(
-            config, policy=ExecutionPolicy(backoff_base_s=0.0)
+        run = runner.run_campaign(
+            config,
+            SweepRunnerConfig(
+                max_workers=1, policy=ExecutionPolicy(backoff_base_s=0.0)
+            ),
+            engine=engine,
         )
         assert [record.item_index for record in run.quarantined] == [poison]
         assert run.quarantined[0].error_type == "WorkerFault"
@@ -491,6 +485,77 @@ class TestChaosCampaignResume:
         )
 
 
+class TestChaosCliSupervision:
+    """Supervision flags apply to every CLI campaign, not just --checkpoint."""
+
+    ARGV = ["--seed", "6", "--trials", "4", "--duration", "6.5"]
+
+    def test_chunk_timeout_reaches_the_policy(self, monkeypatch):
+        from repro.chaos import __main__ as cli
+
+        real_run_campaign = cli.run_campaign
+        seen = []
+
+        def spy(config, runner_config, **kwargs):
+            seen.append(runner_config.policy)
+            return real_run_campaign(config, runner_config, **kwargs)
+
+        monkeypatch.setattr(cli, "run_campaign", spy)
+        argv = self.ARGV + ["--inline", "--chunk-timeout", "120"]
+        assert cli.main(argv) == 0
+        assert [policy.chunk_timeout_s for policy in seen] == [120.0]
+
+    def test_poison_trial_quarantined_without_checkpoint(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.chaos import __main__ as cli
+        from repro.chaos import runner
+        from repro.chaos.campaign import CampaignConfig
+
+        poison = _poison_trial(
+            CampaignConfig(campaign_seed=6, trials=4, duration_s=6.5)
+        )
+        fault = FaultyCallable(
+            _identity, {poison: WorkerFaultSpec(FAULT_CRASH)}, tmp_path
+        )
+        monkeypatch.setattr(
+            runner, "_fly_group", _FaultOnTrial(runner._fly_group, fault)
+        )
+        output = tmp_path / "out"
+        argv = self.ARGV + ["--inline", "--output", str(output)]
+        assert cli.main(argv) == 0
+        err = capsys.readouterr().err
+        assert f"QUARANTINED trial {poison}: WorkerFault" in err
+        report = json.loads((output / "campaign.json").read_text())
+        assert report["trials"] == 3
+        assert not (output / "execution.json").exists()
+
+    def test_resume_under_other_worker_count_is_a_usage_error(
+        self, tmp_path, capsys
+    ):
+        from repro.chaos.__main__ import main
+
+        journal = tmp_path / "journal.jsonl"
+        assert main(self.ARGV + ["--inline", "--checkpoint", str(journal)]) == 0
+        written = journal.read_text()
+        argv = self.ARGV + [
+            "--workers", "4", "--checkpoint", str(journal), "--resume",
+        ]
+        assert main(argv) == 2
+        assert "same --workers/--inline" in capsys.readouterr().err
+        assert journal.read_text() == written
+
+
+def _poison_trial(config):
+    """The second trial of the campaign's widest inline group."""
+    from repro.chaos.campaign import generate_campaign
+    from repro.chaos.runner import ensemble_groups
+
+    group = max(ensemble_groups(generate_campaign(config)), key=len)
+    assert len(group) >= 2
+    return group[1][0]
+
+
 def _identity(value):
     return value
 
@@ -499,8 +564,8 @@ class _FaultOnTrial:
     """A campaign work-item callable whose items fault on one trial.
 
     ``fault`` is a :class:`FaultyCallable` keyed by trial index; it fires
-    for every item that flies the poison trial — a whole ensemble group
-    or the lone scalar trial.
+    for every group that flies the poison trial — a whole group or the
+    one-trial group of a re-flight.
     """
 
     def __init__(self, inner, fault):
@@ -508,12 +573,9 @@ class _FaultOnTrial:
         self.fault = fault
 
     def __call__(self, item):
-        trials, _ = item
-        if hasattr(trials, "trial_index"):
-            self.fault(trials.trial_index)
-        else:
-            for index, _ in trials:
-                self.fault(index)
+        group = item[0]
+        for index, _ in group:
+            self.fault(index)
         return self.inner(item)
 
 
@@ -526,16 +588,22 @@ def _raise_on_three(value: int) -> int:
     return value
 
 
+#: The serial loop's semantics: no retries, the first failure propagates.
+FAIL_FAST = ExecutionPolicy(max_attempts=1, quarantine=False)
+
+
 class TestBareRunnerAttribution:
     def test_serial_failure_carries_item_index(self):
-        runner = ParallelSweepRunner(SweepRunnerConfig(parallel=False))
+        runner = ParallelSweepRunner(
+            SweepRunnerConfig(max_workers=1, policy=FAIL_FAST)
+        )
         with pytest.raises(ValueError, match="three") as excinfo:
             runner.map(_raise_on_three, [1, 2, 3, 4])
         assert excinfo.value.sweep_item_index == 2
 
     def test_parallel_failure_carries_item_index(self):
         runner = ParallelSweepRunner(
-            SweepRunnerConfig(max_workers=2, chunk_size=2)
+            SweepRunnerConfig(max_workers=2, chunk_size=2, policy=FAIL_FAST)
         )
         with pytest.raises(ValueError, match="three") as excinfo:
             runner.map(_raise_on_three, [1, 2, 3, 4])
@@ -543,7 +611,7 @@ class TestBareRunnerAttribution:
 
     def test_worker_death_wrapped_in_worker_crash_error(self):
         runner = ParallelSweepRunner(
-            SweepRunnerConfig(max_workers=2, chunk_size=2)
+            SweepRunnerConfig(max_workers=2, chunk_size=2, policy=FAIL_FAST)
         )
         with pytest.raises(WorkerCrashError) as excinfo:
             runner.map(_die_hard, [1, 2, 3, 4])
@@ -553,7 +621,7 @@ class TestBareRunnerAttribution:
 
     def test_supervised_config_routes_through_pool(self):
         runner = ParallelSweepRunner(
-            SweepRunnerConfig(parallel=False, supervised=True, chunk_size=4)
+            SweepRunnerConfig(max_workers=1, chunk_size=4)
         )
         assert runner.map(_times_ten, ITEMS) == SERIAL
         assert runner.last_report is not None
@@ -641,7 +709,7 @@ class TestPolicyAndReport:
             _times_ten, {4: WorkerFaultSpec(FAULT_CRASH)}, tmp_path
         )
         policy = ExecutionPolicy(max_attempts=1, **FAST)
-        outcome = SupervisedPool(parallel=False, policy=policy).map(
+        outcome = SupervisedPool(workers=1, policy=policy).map(
             faulty, ITEMS
         )
         data = json.loads(outcome.report.to_json())
@@ -654,5 +722,5 @@ class TestPolicyAndReport:
         assert fingerprint_value([1, 2, 3]) != fingerprint_value([1, 2, 4])
 
     def test_outcome_type(self):
-        outcome = SupervisedPool(parallel=False).map(_times_ten, [1])
+        outcome = SupervisedPool(workers=1).map(_times_ten, [1])
         assert isinstance(outcome, ExecutionOutcome)

@@ -1,10 +1,15 @@
-"""Tests for the opt-in parallel sweep runner and the keyed caches.
+"""Tests for the parallel sweep runner and the keyed caches.
 
 The runner's contract is determinism: chunking depends only on input order
-and config, results come back in input order, and the inline fallback is a
-plain serial loop.  The parallel path is forced with ``max_workers=2`` so
-the tests exercise real worker processes even on single-CPU runners.
+and config, results come back in input order, and a single worker is a
+plain serial loop in the calling process.  The parallel path is forced with
+``max_workers=2`` so the tests exercise real worker processes even on
+single-CPU runners.  Failure attribution is tested under the fail-fast
+policy; the default policy quarantines instead.
 """
+
+import os
+from dataclasses import fields
 
 import pytest
 
@@ -18,11 +23,20 @@ from repro.core.parallel import (
     chunk_items,
 )
 from repro.core.tradeoffs import catalog_fits, clear_fit_cache
+from repro.exec.policy import ExecutionPolicy
+from repro.exec.report import ExecutionReport
+from repro.exec.supervised import QuarantinedItem
+
+FAIL_FAST = ExecutionPolicy(max_attempts=1, quarantine=False)
 
 
 def _square(value: int) -> int:
     """Module-level so worker processes can unpickle it."""
     return value * value
+
+
+def _pid(_: int) -> int:
+    return os.getpid()
 
 
 def _raise_on_three(value: int) -> int:
@@ -54,16 +68,18 @@ class TestConfig:
     def test_explicit_worker_count_respected(self):
         assert SweepRunnerConfig(max_workers=3).resolved_workers == 3
 
-    def test_supervision_off_by_default(self):
+    def test_only_workers_chunking_and_policy(self):
         config = SweepRunnerConfig()
-        assert config.supervised is False
+        assert [field.name for field in fields(config)] == [
+            "max_workers", "chunk_size", "policy",
+        ]
         assert config.policy is None
 
 
 class TestRunnerInline:
-    def test_serial_when_parallel_disabled(self):
-        runner = ParallelSweepRunner(SweepRunnerConfig(parallel=False))
-        assert runner.map(_square, [1, 2, 3]) == [1, 4, 9]
+    def test_single_worker_runs_in_this_process(self):
+        runner = ParallelSweepRunner(SweepRunnerConfig(max_workers=1))
+        assert runner.map(_pid, [1, 2, 3]) == [os.getpid()] * 3
 
     def test_serial_when_single_worker(self):
         runner = ParallelSweepRunner(SweepRunnerConfig(max_workers=1))
@@ -73,12 +89,16 @@ class TestRunnerInline:
         assert ParallelSweepRunner().map(_square, []) == []
 
     def test_exception_propagates(self):
-        runner = ParallelSweepRunner(SweepRunnerConfig(parallel=False))
+        runner = ParallelSweepRunner(
+            SweepRunnerConfig(max_workers=1, policy=FAIL_FAST)
+        )
         with pytest.raises(ValueError, match="three"):
             runner.map(_raise_on_three, [1, 2, 3])
 
     def test_exception_names_failing_item(self):
-        runner = ParallelSweepRunner(SweepRunnerConfig(parallel=False))
+        runner = ParallelSweepRunner(
+            SweepRunnerConfig(max_workers=1, policy=FAIL_FAST)
+        )
         with pytest.raises(ValueError) as excinfo:
             runner.map(_raise_on_three, [9, 3, 1])
         assert excinfo.value.sweep_item_index == 1
@@ -102,14 +122,14 @@ class TestRunnerParallel:
 
     def test_worker_exception_propagates(self):
         runner = ParallelSweepRunner(
-            SweepRunnerConfig(max_workers=2, chunk_size=2)
+            SweepRunnerConfig(max_workers=2, chunk_size=2, policy=FAIL_FAST)
         )
         with pytest.raises(ValueError, match="three"):
             runner.map(_raise_on_three, [1, 2, 3, 4])
 
     def test_worker_exception_names_failing_item(self):
         runner = ParallelSweepRunner(
-            SweepRunnerConfig(max_workers=2, chunk_size=2)
+            SweepRunnerConfig(max_workers=2, chunk_size=2, policy=FAIL_FAST)
         )
         with pytest.raises(ValueError, match="three") as excinfo:
             runner.map(_raise_on_three, [1, 2, 3, 4])
@@ -117,11 +137,11 @@ class TestRunnerParallel:
 
 
 class TestRunnerSupervised:
-    """``supervised=True`` routes through the fault-tolerant layer."""
+    """Every map runs through the fault-tolerant layer."""
 
     def test_results_match_serial(self):
         runner = ParallelSweepRunner(
-            SweepRunnerConfig(parallel=False, supervised=True, chunk_size=2)
+            SweepRunnerConfig(max_workers=1, chunk_size=2)
         )
         values = list(range(7))
         assert runner.map(_square, values) == [v * v for v in values]
@@ -129,10 +149,21 @@ class TestRunnerSupervised:
         assert runner.last_report.chunks_completed == 4
 
     def test_last_report_reset_between_maps(self):
-        runner = ParallelSweepRunner(SweepRunnerConfig(parallel=False))
-        runner.last_report = object()
+        runner = ParallelSweepRunner(SweepRunnerConfig(max_workers=1))
+        stale = object()
+        runner.last_report = stale
         runner.map(_square, [1])
-        assert runner.last_report is None
+        assert runner.last_report is not stale
+        assert isinstance(runner.last_report, ExecutionReport)
+        assert runner.last_report.chunks_total == 1
+
+    def test_default_policy_quarantines_failing_item(self):
+        runner = ParallelSweepRunner(SweepRunnerConfig(max_workers=1))
+        results = runner.map(_raise_on_three, [1, 2, 3, 4])
+        assert results[:2] == [1, 2] and results[3] == 4
+        assert isinstance(results[2], QuarantinedItem)
+        assert results[2].item_index == 2
+        assert runner.last_report.quarantine_report().item_indices == (2,)
 
 
 class TestKeyedCaches:

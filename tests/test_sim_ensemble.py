@@ -18,7 +18,6 @@ import repro
 from repro.chaos import (
     CampaignConfig,
     run_campaign,
-    run_campaign_supervised,
     run_trials_ensemble,
     verify_replay,
 )
@@ -243,8 +242,10 @@ class TestChaosCampaignEquivalence:
     def test_engines_produce_identical_campaigns(self):
         """Fingerprints (and crash traces) match across engines + replay."""
         config = CampaignConfig(campaign_seed=77, trials=8, duration_s=12.0)
-        scalar = run_campaign(config, engine="scalar")
-        ensemble = run_campaign(config, engine="ensemble", ensemble_width=3)
+        scalar = run_campaign(config, engine="scalar").results
+        ensemble = run_campaign(
+            config, engine="ensemble", ensemble_width=3
+        ).results
         assert [r.metrics() for r in scalar] == [
             r.metrics() for r in ensemble
         ]
@@ -257,8 +258,8 @@ class TestChaosCampaignEquivalence:
     def test_64_trial_campaign_replays_identically(self):
         """The ISSUE acceptance shape: 64 chaos trials, both engines."""
         config = CampaignConfig(campaign_seed=9, trials=64, duration_s=10.0)
-        scalar = run_campaign(config, engine="scalar")
-        ensemble = run_campaign(config, engine="ensemble")
+        scalar = run_campaign(config, engine="scalar").results
+        ensemble = run_campaign(config, engine="ensemble").results
         assert len(ensemble) == 64
         assert [r.metrics() for r in scalar] == [
             r.metrics() for r in ensemble
@@ -270,41 +271,45 @@ class TestChaosCampaignEquivalence:
 
     def test_two_groups_on_two_workers_submit_two_chunks(self, monkeypatch):
         """Each ensemble group is its own pool chunk, so both workers fly."""
-        import repro.core.parallel as parallel
+        import repro.exec.supervised as supervised
 
         submitted = []
 
         class CountingPool(ProcessPoolExecutor):
             def submit(self, fn, /, *args, **kwargs):
-                submitted.append(len(args[1]))  # (fn, chunk, base_index)
+                submitted.append(len(args[1]))  # (fn, chunk, base, heartbeat)
                 return super().submit(fn, *args, **kwargs)
 
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(supervised, "ProcessPoolExecutor", CountingPool)
         config = CampaignConfig(campaign_seed=6, trials=4, duration_s=6.5)
         assert len(ensemble_groups(generate_campaign(config), workers=2)) == 2
-        results = run_campaign(config, SweepRunnerConfig(max_workers=2))
+        results = run_campaign(config, SweepRunnerConfig(max_workers=2)).results
         assert submitted == [1, 1]
-        scalar = run_campaign(config, engine="scalar")
+        scalar = run_campaign(config, engine="scalar").results
         assert [r.metrics() for r in results] == [r.metrics() for r in scalar]
 
-    def test_parallel_and_supervised_paths_agree(self):
+    def test_parallel_and_supervised_paths_agree(self, tmp_path):
+        """Inline, two workers and a journaled run fly the same trials."""
         config = CampaignConfig(campaign_seed=5, trials=6, duration_s=8.0)
         base = run_campaign(config, engine="ensemble", ensemble_width=4)
         parallel = run_campaign(
             config,
-            SweepRunnerConfig(parallel=True, max_workers=2, chunk_size=1),
+            SweepRunnerConfig(max_workers=2, chunk_size=1),
             engine="ensemble",
             ensemble_width=2,
         )
-        assert [r.metrics() for r in base] == [
-            r.metrics() for r in parallel
+        assert [r.metrics() for r in base.results] == [
+            r.metrics() for r in parallel.results
         ]
-        supervised = run_campaign_supervised(
-            config, engine="ensemble", ensemble_width=4
+        journaled = run_campaign(
+            config,
+            journal_path=tmp_path / "journal.jsonl",
+            engine="ensemble",
+            ensemble_width=4,
         )
-        assert not supervised.quarantined
-        assert [r.metrics() for r in base] == [
-            r.metrics() for r in supervised.results
+        assert not journaled.quarantined
+        assert [r.metrics() for r in base.results] == [
+            r.metrics() for r in journaled.results
         ]
 
 
@@ -313,8 +318,6 @@ class TestEnsembleApi:
         config = CampaignConfig(trials=2, duration_s=8.0)
         with pytest.raises(ValueError, match="engine"):
             run_campaign(config, engine="warp")
-        with pytest.raises(ValueError, match="engine"):
-            run_campaign_supervised(config, engine="warp")
 
     def test_groups_are_balanced_and_fill_the_workers(self):
         """Fewest balanced groups per use_ekf partition, one per worker."""
