@@ -20,7 +20,10 @@ tooling beyond this file.
 from __future__ import annotations
 
 import json
+import os
+import platform
 import statistics
+import subprocess
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -73,14 +76,52 @@ def time_callable(
         start = time.perf_counter()
         fn()
         samples.append(time.perf_counter() - start)
+    return timing_from_samples(name, samples, warmup=warmup)
+
+
+def timing_from_samples(
+    name: str, samples: List[float], *, warmup: int
+) -> TimingResult:
+    """Summarize wall-clock ``samples`` taken outside :func:`time_callable`."""
+    if not samples:
+        raise ValueError(f"need at least one timed run for {name}")
     return TimingResult(
         name=name,
         median_s=float(statistics.median(samples)),
         min_s=float(min(samples)),
         mean_s=float(statistics.fmean(samples)),
-        runs=runs,
+        runs=len(samples),
         warmup=warmup,
     )
+
+
+def run_manifest(repo_root: Path) -> dict:
+    """Where a baseline was measured: host, Python/NumPy versions, git SHA.
+
+    ``git_sha``/``git_dirty`` are ``None`` outside a git checkout.
+    """
+    import numpy as np
+
+    def git(*args: str) -> Optional[str]:
+        try:
+            completed = subprocess.run(
+                ["git", "-C", str(repo_root), *args],
+                capture_output=True, text=True, check=True,
+            )
+        except (OSError, subprocess.CalledProcessError):
+            return None
+        return completed.stdout.strip()
+
+    status = git("status", "--porcelain", "--untracked-files=no")
+    return {
+        "host": platform.node(),
+        "machine": platform.machine(),
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "git_sha": git("rev-parse", "HEAD"),
+        "git_dirty": None if status is None else bool(status),
+    }
 
 
 #: ``np`` module attributes counted by :func:`count_array_constructions`.

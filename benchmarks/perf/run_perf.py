@@ -23,11 +23,16 @@ Times the hot paths of the repository and writes/compares baselines:
   curve (one ensemble group of 1/8/16/32/64 generated campaign trials per
   ``use_ekf`` partition, at the CLI's 200 Hz, 10 s flights), the measured
   basis of :func:`repro.chaos.runner.ensemble_groups`.
+* ``BENCH_report.json`` — ``python -m repro.report`` end to end
+  (``generate_report`` after ``repro.clear_all_caches()``), the same run
+  split per export (fits / design / reference / uarch / power / slam),
+  and the synthesis of the report's 11 x 80 SLAM frames on their own.
 
 Each scalar-vs-batch pair records its speedup; the grid speedup is gated
 by ``--min-speedup``, the SLAM/platform kernel speedups by
 ``--min-kernel-speedup``, and the campaign speedup by
-``--min-ensemble-speedup``.  Every baseline written is also mirrored to
+``--min-ensemble-speedup``.  Every baseline written records the host,
+Python/NumPy versions and git SHA it was measured at, and is mirrored to
 the repository root.
 
 Usage::
@@ -45,8 +50,10 @@ from __future__ import annotations
 import argparse
 import shutil
 import sys
+import tempfile
+import time
 from pathlib import Path
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -56,10 +63,14 @@ from harness import (
     compare_to_baseline,
     count_array_constructions,
     load_baseline,
+    run_manifest,
     time_callable,
+    timing_from_samples,
     write_baseline,
 )
 
+import repro
+from repro import report
 from repro.chaos.campaign import CampaignConfig, TrialSpec, generate_campaign
 from repro.chaos.ensemble import run_trials_ensemble
 from repro.chaos.runner import TrialResult, run_trial, verify_replay
@@ -78,7 +89,7 @@ from repro.platforms.workload import autopilot_trace, interleave, slam_trace
 from repro.sim.ensemble import EnsembleFlightSimulator
 from repro.sim.simulator import DroneModel, FlightSimulator
 from repro.slam.bundle_adjustment import global_bundle_adjust
-from repro.slam.dataset import all_sequence_names, cached_sequence
+from repro.slam.dataset import all_sequence_names, cached_sequence, load_sequence
 from repro.slam.pipeline import SlamPipeline, run_slam
 
 #: Simulated duration of the simulator workload (seconds of flight).
@@ -130,7 +141,24 @@ WIDTH_CURVE_RUNS = 3
 #: Trials generated to fill both partitions up to the widest group.
 WIDTH_CURVE_POOL_TRIALS = 256
 
-SUITES = ("sweep", "sim", "slam", "platform")
+#: The report suite: timed runs of the full ``generate_report`` (and of
+#: its per-export split), and the frames its SLAM export renders.
+REPORT_RUNS = 3
+REPORT_SLAM_FRAMES = 80
+REPORT_TRACE_LENGTH = 60_000
+FRAME_SYNTHESIS_RUNS = 5
+#: ``generate_report``'s exports in call order: (label, export, arguments
+#: after ``output_dir`` and ``summary``).
+REPORT_EXPORTS = (
+    ("fits", report.export_component_fits, ()),
+    ("design", report.export_design_space, ()),
+    ("reference", report.export_reference_build, ()),
+    ("uarch", report.export_microarchitecture, (REPORT_TRACE_LENGTH,)),
+    ("power", report.export_power_traces, ()),
+    ("slam", report.export_slam_studies, (REPORT_SLAM_FRAMES,)),
+)
+
+SUITES = ("sweep", "sim", "slam", "platform", "report")
 
 
 def _fig10_grid_arrays():
@@ -249,6 +277,71 @@ def platform_corun_workloads(runs: int, warmup: int) -> List[TimingResult]:
         time_callable("batch_corun_fig15", batch_corun,
                       warmup=warmup, runs=runs),
     ]
+
+
+def report_workloads(
+    runs: int,
+) -> Tuple[List[TimingResult], Dict[str, TimingResult]]:
+    """``generate_report`` end to end, per export, and its frame synthesis.
+
+    Returns the gated workloads (end to end, frame synthesis) and the
+    per-export timings by label.  The exports are recorded but not gated:
+    the smallest take well under a millisecond, below the compare's noise
+    floor.
+
+    Every report run starts from ``repro.clear_all_caches()`` (outside the
+    timed region), as a fresh ``python -m repro.report`` would; one untimed
+    report first pays the imports.  The per-export runs call the exports
+    in ``generate_report``'s order, so the caches one export fills for the
+    next are warm exactly as in the end-to-end run.
+    """
+    frame_names = all_sequence_names()
+
+    def full_report(output_dir: str) -> None:
+        report.generate_report(
+            output_dir=output_dir,
+            slam_frames=REPORT_SLAM_FRAMES,
+            trace_length=REPORT_TRACE_LENGTH,
+        )
+
+    with tempfile.TemporaryDirectory(prefix="bench-report-") as output_dir:
+        repro.clear_all_caches()
+        full_report(output_dir)
+        end_to_end: List[float] = []
+        per_export = {label: [] for label, _, _ in REPORT_EXPORTS}
+        # Alternate the two forms so host-speed drift hits both alike.
+        for _ in range(runs):
+            repro.clear_all_caches()
+            start = time.perf_counter()
+            full_report(output_dir)
+            end_to_end.append(time.perf_counter() - start)
+            repro.clear_all_caches()
+            summary: List[str] = []
+            for label, export, args in REPORT_EXPORTS:
+                start = time.perf_counter()
+                export(output_dir, summary, *args)
+                per_export[label].append(time.perf_counter() - start)
+
+    def synthesize_frames() -> None:
+        for name in frame_names:
+            sequence = load_sequence(name)
+            for index in range(REPORT_SLAM_FRAMES):
+                sequence.generate_frame(index)
+
+    gated = [
+        timing_from_samples("report_end_to_end", end_to_end, warmup=1),
+        time_callable(
+            f"frames_{len(frame_names)}x{REPORT_SLAM_FRAMES}",
+            synthesize_frames,
+            warmup=1,
+            runs=FRAME_SYNTHESIS_RUNS,
+        ),
+    ]
+    exports = {
+        label: timing_from_samples(f"report_{label}", samples, warmup=0)
+        for label, samples in per_export.items()
+    }
+    return gated, exports
 
 
 def _ensemble_specs() -> List[TrialSpec]:
@@ -411,7 +504,7 @@ def main(argv: List[str]) -> int:
         default="all",
         help="which benchmark suite to run (default: all).  The heavy "
         "'ensemble' campaign suite must be requested explicitly; 'all' "
-        "covers the original four.",
+        "covers the other five.",
     )
     parser.add_argument(
         "--output-dir",
@@ -562,6 +655,34 @@ def main(argv: List[str]) -> int:
             )
             failed = True
 
+    if "report" in suites:
+        print(
+            f"timing generate_report from cold caches ({REPORT_RUNS} runs "
+            f"end to end, {REPORT_RUNS} split per export)..."
+        )
+        report_results, exports = report_workloads(runs=REPORT_RUNS)
+        _print_results(report_results + list(exports.values()))
+        total_s = report_results[0].median_s
+        breakdown = {
+            label: {**timing.as_dict(), "share": timing.median_s / total_s}
+            for label, timing in exports.items()
+        }
+        print("  export shares: " + ", ".join(
+            f"{label} {row['share']:.1%}"
+            for label, row in sorted(
+                breakdown.items(), key=lambda item: -item[1]["share"]
+            )
+        ))
+        written.append((
+            "BENCH_report.json",
+            report_results,
+            {
+                "slam_frames": REPORT_SLAM_FRAMES,
+                "trace_length": REPORT_TRACE_LENGTH,
+                "exports": breakdown,
+            },
+        ))
+
     if "ensemble" in suites:
         # One timed run per engine: each invocation is a full 64-trial
         # campaign (minutes of work for the serial engine), long enough to
@@ -669,9 +790,10 @@ def main(argv: List[str]) -> int:
 
     args.output_dir.mkdir(parents=True, exist_ok=True)
     repo_root = Path(__file__).resolve().parents[2]
+    manifest = run_manifest(repo_root)
     for name, results, extra in written:
         path = args.output_dir / name
-        write_baseline(path, results, extra=extra)
+        write_baseline(path, results, extra={"manifest": manifest, **extra})
         print(f"wrote {path}")
         # Mirror every baseline to the repository root so the latest
         # numbers are one `cat BENCH_*.json` away from a fresh checkout.

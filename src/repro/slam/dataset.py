@@ -65,6 +65,9 @@ IMAGE_WIDTH = 752
 IMAGE_HEIGHT = 480
 DESCRIPTOR_BYTES = 32  # ORB descriptors are 256-bit
 
+#: ``_BIT_MASKS[b]`` flips bit ``b`` of a descriptor byte.
+_BIT_MASKS = (1 << np.arange(8)).astype(np.uint8)
+
 
 @dataclass(frozen=True)
 class CameraModel:
@@ -137,6 +140,11 @@ class SyntheticSequence:
             0, 2**31 - 1, size=self.spec.landmark_count
         )
         self._rng = rng
+        # Canonical descriptors by landmark id, drawn on first use.
+        self._descriptor_table = np.zeros(
+            (self.spec.landmark_count, DESCRIPTOR_BYTES), dtype=np.uint8
+        )
+        self._descriptor_known = np.zeros(self.spec.landmark_count, dtype=bool)
 
     @property
     def frame_count(self) -> int:
@@ -152,20 +160,40 @@ class SyntheticSequence:
         yaw = omega * t + math.pi / 2.0  # tangent heading
         return np.array([x, y, z]), yaw
 
+    def _canonical_descriptors(self, landmark_ids: np.ndarray) -> np.ndarray:
+        """Canonical descriptors of distinct ``landmark_ids`` (a fresh array).
+
+        Each landmark's descriptor is a pure function of its seed, so it is
+        drawn once per instance, on first sight, into a table keyed by id.
+        """
+        missing = landmark_ids[~self._descriptor_known[landmark_ids]]
+        for landmark_id in missing:
+            rng = np.random.default_rng(int(self._descriptor_seeds[landmark_id]))
+            self._descriptor_table[landmark_id] = rng.integers(
+                0, 256, size=DESCRIPTOR_BYTES, dtype=np.uint8
+            )
+            self._descriptor_known[landmark_id] = True
+        return self._descriptor_table[landmark_ids]
+
     def descriptor_for(self, landmark_id: int, noise_bits: int = 0) -> np.ndarray:
         """The canonical ORB-like descriptor of a landmark, with bit noise."""
         if not 0 <= landmark_id < self.spec.landmark_count:
             raise ValueError(f"landmark id out of range: {landmark_id}")
-        rng = np.random.default_rng(int(self._descriptor_seeds[landmark_id]))
-        descriptor = rng.integers(0, 256, size=DESCRIPTOR_BYTES, dtype=np.uint8)
+        descriptor = self._canonical_descriptors(np.array([landmark_id]))[0]
         if noise_bits > 0:
             flip = self._rng.integers(0, DESCRIPTOR_BYTES * 8, size=noise_bits)
-            for bit in flip:
-                descriptor[bit // 8] ^= np.uint8(1 << (bit % 8))
+            np.bitwise_xor.at(descriptor, flip // 8, _BIT_MASKS[flip % 8])
         return descriptor
 
     def generate_frame(self, index: int) -> Frame:
-        """Render frame ``index``: visible landmarks plus spurious detections."""
+        """Render frame ``index``: visible landmarks plus spurious detections.
+
+        Geometry is vectorized over all landmarks; only the sequence RNG is
+        walked in Python, in the stream order every frame is pinned to:
+        ``normal`` (u), ``normal`` (v) and the descriptor's bit flips for
+        each visible landmark in id order, then two ``uniform`` pixels and a
+        random descriptor for each spurious detection.
+        """
         if not 0 <= index < self.frame_count:
             raise ValueError(
                 f"frame index {index} out of range [0, {self.frame_count})"
@@ -174,47 +202,60 @@ class SyntheticSequence:
         position, yaw = self.true_pose(t)
         rotation = _yaw_rotation(yaw)
         # Camera looks along body +x; camera frame: z forward, x right, y down.
+        # A stacked matvec, not an elementwise expansion: each landmark keeps
+        # the rounding of ``body_from_world @ (landmark - position)``.
         body_from_world = rotation.T
-        ids: List[int] = []
-        pixels: List[Tuple[float, float]] = []
-        descriptors: List[np.ndarray] = []
+        relative = np.matmul(
+            body_from_world, (self.landmarks_m - position)[:, :, None]
+        )[:, :, 0]
+        depth = relative[:, 0]
+        ids = np.flatnonzero((depth >= 0.3) & (depth <= 12.0))
+        z = depth[ids]
+        camera = self.camera
+        u = camera.fx * -relative[ids, 1] / z + camera.cx
+        v = camera.fy * -relative[ids, 2] / z + camera.cy
+        in_view = (0.0 <= u) & (u < camera.width) & (0.0 <= v) & (v < camera.height)
+        ids, u, v = ids[in_view], u[in_view], v[in_view]
+
         noise_bits = {"easy": 2, "medium": 5, "difficult": 10}[
             self.spec.difficulty.value
         ]
-        for landmark_id, landmark in enumerate(self.landmarks_m):
-            relative = body_from_world @ (landmark - position)
-            camera_point = np.array([-relative[1], -relative[2], relative[0]])
-            if camera_point[2] < 0.3 or camera_point[2] > 12.0:
-                continue
-            u, v = self.camera.project(camera_point)
-            if not self.camera.in_view(u, v):
-                continue
-            u += float(self._rng.normal(0.0, self.spec.pixel_noise))
-            v += float(self._rng.normal(0.0, self.spec.pixel_noise))
-            ids.append(landmark_id)
-            pixels.append((u, v))
-            descriptors.append(self.descriptor_for(landmark_id, noise_bits))
+        rng = self._rng
+        pixel_noise = self.spec.pixel_noise
+        jitter = np.empty((ids.size, 2))
+        flips = np.empty((ids.size, noise_bits), dtype=np.int64)
+        for row in range(ids.size):
+            jitter[row, 0] = rng.normal(0.0, pixel_noise)
+            jitter[row, 1] = rng.normal(0.0, pixel_noise)
+            flips[row] = rng.integers(0, DESCRIPTOR_BYTES * 8, size=noise_bits)
         # Spurious detections: clutter that matching must reject.
-        spurious = int(0.05 * len(ids)) + 2
-        for _ in range(spurious):
-            ids.append(-1)
-            pixels.append(
-                (
-                    float(self._rng.uniform(0, self.camera.width)),
-                    float(self._rng.uniform(0, self.camera.height)),
-                )
+        spurious = int(0.05 * ids.size) + 2
+        clutter_px = np.empty((spurious, 2))
+        clutter_descriptors = np.empty((spurious, DESCRIPTOR_BYTES), dtype=np.uint8)
+        for row in range(spurious):
+            clutter_px[row, 0] = rng.uniform(0, camera.width)
+            clutter_px[row, 1] = rng.uniform(0, camera.height)
+            clutter_descriptors[row] = rng.integers(
+                0, 256, size=DESCRIPTOR_BYTES, dtype=np.uint8
             )
-            descriptors.append(
-                self._rng.integers(0, 256, size=DESCRIPTOR_BYTES, dtype=np.uint8)
-            )
+
+        descriptors = self._canonical_descriptors(ids)
+        rows = np.repeat(np.arange(ids.size), noise_bits)
+        flat_flips = flips.ravel()
+        np.bitwise_xor.at(
+            descriptors, (rows, flat_flips // 8), _BIT_MASKS[flat_flips % 8]
+        )
+        observed_px = np.stack([u + jitter[:, 0], v + jitter[:, 1]], axis=1)
         return Frame(
             index=index,
             timestamp_s=t,
             true_position_m=position,
             true_yaw_rad=yaw,
-            landmark_ids=np.asarray(ids, dtype=np.int64),
-            keypoints_px=np.asarray(pixels, dtype=float),
-            descriptors=np.asarray(descriptors, dtype=np.uint8),
+            landmark_ids=np.concatenate(
+                [ids, np.full(spurious, -1, dtype=np.int64)]
+            ),
+            keypoints_px=np.concatenate([observed_px, clutter_px]),
+            descriptors=np.concatenate([descriptors, clutter_descriptors]),
         )
 
     def frames(self) -> Iterator[Frame]:

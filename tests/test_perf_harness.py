@@ -51,6 +51,30 @@ class TestTimeCallable:
         with pytest.raises(ValueError, match="warmup"):
             harness.time_callable("x", lambda: None, warmup=-1)
 
+    def test_timing_from_samples_summarizes(self):
+        result = harness.timing_from_samples("x", [3.0, 1.0, 2.0], warmup=1)
+        assert (result.median_s, result.min_s, result.mean_s) == (2.0, 1.0, 2.0)
+        assert (result.runs, result.warmup) == (3, 1)
+
+    def test_timing_from_samples_rejects_no_samples(self):
+        with pytest.raises(ValueError, match="at least one"):
+            harness.timing_from_samples("x", [], warmup=0)
+
+
+class TestRunManifest:
+    def test_records_host_numpy_and_git(self):
+        import numpy as np
+
+        manifest = harness.run_manifest(_HARNESS_PATH.parents[2])
+        assert manifest["numpy"] == np.__version__
+        assert manifest["host"]
+        assert set(manifest) >= {"python", "git_sha", "git_dirty"}
+
+    def test_git_fields_are_none_outside_a_checkout(self, tmp_path):
+        manifest = harness.run_manifest(tmp_path / "missing")
+        assert manifest["git_sha"] is None
+        assert manifest["git_dirty"] is None
+
 
 def _result(name: str, median_s: float) -> "harness.TimingResult":
     return harness.TimingResult(
@@ -121,12 +145,29 @@ class TestCompareToBaseline:
 class TestCommittedBaselines:
     """The committed BENCH files must stay loadable and self-consistent."""
 
-    @pytest.mark.parametrize("name", ["BENCH_sweep.json", "BENCH_sim.json"])
+    @pytest.mark.parametrize(
+        "name", ["BENCH_sweep.json", "BENCH_sim.json", "BENCH_report.json"]
+    )
     def test_baseline_loads(self, name):
         payload = harness.load_baseline(_HARNESS_PATH.parent / name)
         assert payload["workloads"], f"{name} has no workloads"
         for workload, stats in payload["workloads"].items():
             assert stats["median_s"] > 0.0, workload
+
+    def test_report_baseline_has_breakdown_and_manifest(self):
+        payload = harness.load_baseline(_HARNESS_PATH.parent / "BENCH_report.json")
+        workloads = payload["workloads"]
+        assert workloads["report_end_to_end"]["runs"] >= 3
+        assert "frames_11x80" in workloads
+        exports = payload["exports"]
+        assert set(exports) == {
+            "fits", "design", "reference", "uarch", "power", "slam"
+        }
+        for row in exports.values():
+            assert row["runs"] >= 3
+            assert 0.0 < row["share"] < 1.0
+        manifest = payload["manifest"]
+        assert manifest["host"] and manifest["numpy"] and manifest["git_sha"]
 
     def test_sweep_baseline_records_target_speedup(self):
         payload = harness.load_baseline(_HARNESS_PATH.parent / "BENCH_sweep.json")

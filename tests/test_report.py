@@ -63,3 +63,52 @@ class TestReportExports:
         assert len(trace) > 100
         assert os.path.exists(tmp_path / "fig16b_drone_power.csv")
         assert any("fig16" in line for line in summary)
+
+
+#: Every artifact the full report writes.
+REPORT_ARTIFACTS = {
+    "fig07_battery_fits.csv",
+    "fig08a_esc_fits.csv",
+    "fig08b_frame_fit.csv",
+    "fig09_motor_current.csv",
+    "fig10_validation_diamonds.csv",
+    "fig10abc_power_sweep.csv",
+    "fig10def_compute_footprint.csv",
+    "fig11_small_drones.csv",
+    "fig14_weight_breakdown.csv",
+    "fig15_perf_counters.csv",
+    "fig16a_rpi_power.csv",
+    "fig16b_drone_power.csv",
+    "fig17_slam_speedups.csv",
+    "summary.txt",
+    "table5_platform_costs.csv",
+}
+
+
+class TestReportCli:
+    def test_help_exits_zero_without_running(self, tmp_path, monkeypatch, capsys):
+        from repro.report import main
+
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        assert "output_dir" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unknown_option_is_a_usage_error(self, tmp_path, monkeypatch):
+        from repro.report import main
+
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--frames", "3"])
+        assert exit_info.value.code == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_positional_output_dir_gets_every_artifact(self, tmp_path, capsys):
+        from repro.report import main
+
+        out = tmp_path / "report"
+        assert main([str(out)]) == 0
+        assert {path.name for path in out.iterdir()} == REPORT_ARTIFACTS
+        assert f"written to {out}/" in capsys.readouterr().out
