@@ -17,7 +17,7 @@ Times the hot paths of the repository and writes/compares baselines:
   batch trace engine.
 * ``BENCH_ensemble.json`` (``--suite ensemble`` only) — a 64-trial
   fault-free chaos campaign (30 s at 500 Hz), serial ``run_trial`` loop
-  vs the vectorized :func:`repro.chaos.ensemble.run_trials_ensemble`
+  vs the vectorized :func:`repro.chaos.runner.run_trials_ensemble`
   group, with cross-engine fingerprint, ``verify_replay``, and
   steady-state allocation-budget checks; plus a campaign-group width
   curve (one ensemble group of 1/8/16/32/64 generated campaign trials per
@@ -72,8 +72,12 @@ from harness import (
 import repro
 from repro import report
 from repro.chaos.campaign import CampaignConfig, TrialSpec, generate_campaign
-from repro.chaos.ensemble import run_trials_ensemble
-from repro.chaos.runner import TrialResult, run_trial, verify_replay
+from repro.chaos.runner import (
+    TrialResult,
+    run_trial,
+    run_trials_ensemble,
+    verify_replay,
+)
 from repro.core.batch import evaluate_batch
 from repro.core.design import DroneDesign
 from repro.core.equations import InfeasibleDesignError
@@ -82,7 +86,7 @@ from repro.core.explorer import (
     FIG10_CELL_COUNTS,
     FIG10_WHEELBASES_MM,
 )
-from repro.faults.scenarios import DEFAULT_MODEL
+from repro.chaos.harness import DEFAULT_MODEL
 from repro.faults.schedule import FaultSchedule
 from repro.platforms.cpu import InOrderCore
 from repro.platforms.workload import autopilot_trace, interleave, slam_trace

@@ -7,7 +7,7 @@ mission-completion degradation.  Every run is bit-for-bit deterministic for
 a fixed seed — the property that makes fault campaigns regression-testable.
 """
 
-from repro.faults import run_scenario, standard_scenarios
+from repro.faults.scenarios import run_scenario, standard_scenarios
 
 from conftest import print_table
 

@@ -15,7 +15,7 @@ determinism contract: fault campaigns reproduce bit-for-bit.
 Run:  python examples/failsafe_study.py
 """
 
-from repro.faults import run_scenario, standard_scenarios
+from repro.faults.scenarios import run_scenario, standard_scenarios
 
 SEED = 7
 

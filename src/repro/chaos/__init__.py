@@ -1,9 +1,10 @@
 """Chaos campaign engine: generated fault campaigns with safety verdicts.
 
-The robustness layer above the hand-written scenario matrix
-(:mod:`repro.faults.scenarios`): four cooperating pieces that together turn
-"does the stack survive these ten faults?" into "what is the failure
-surface of the stack under compound, unanticipated fault combinations?"
+The robustness layer of the closed-loop stack.  The hand-written scenario
+matrix (:mod:`repro.faults.scenarios`) asks "does the stack survive these
+ten faults?"; a chaos campaign asks "what is the failure surface of the
+stack under compound, unanticipated fault combinations?".  Both fly
+through the harness below, which is one of five cooperating pieces:
 
 * :mod:`repro.chaos.campaign` — samples reproducible compound
   :class:`~repro.faults.schedule.FaultSchedule`\\ s from
@@ -12,6 +13,9 @@ surface of the stack under compound, unanticipated fault combinations?"
   :class:`SafetyMonitor` with first-violation attribution;
 * :mod:`repro.chaos.recorder` — the black-box
   :class:`FlightRecorder` ring buffer and JSON crash traces;
+* :mod:`repro.chaos.harness` — the :class:`MissionHarness` and the one
+  tick loop (:func:`repro.chaos.harness.fly`) that scalar trials,
+  ensemble groups and the canned scenarios all fly through;
 * :mod:`repro.chaos.runner` / :mod:`repro.chaos.triage` — deterministic
   trial execution, bit-for-bit replay verification, parallel campaign
   fan-out, and failure-bucket aggregation.
@@ -35,18 +39,21 @@ from repro.chaos.invariants import (
     Violation,
     invariant_catalog,
 )
-from repro.chaos.ensemble import LaneHarness, run_trials_ensemble
-from repro.chaos.recorder import BlackBoxTrace, FlightRecorder, TickRecord
-from repro.chaos.runner import (
-    CampaignRun,
+from repro.chaos.harness import (
+    MissionHarness,
     TrialResult,
     VERDICT_CRASH,
     VERDICT_SAFE,
     VERDICT_VIOLATION,
+)
+from repro.chaos.recorder import BlackBoxTrace, FlightRecorder, TickRecord
+from repro.chaos.runner import (
+    CampaignRun,
     replay_trial,
     run_campaign,
     run_trial,
     run_trial_by_index,
+    run_trials_ensemble,
     verify_replay,
 )
 from repro.chaos.triage import (
@@ -71,7 +78,7 @@ __all__ = [
     "invariant_catalog",
     "BlackBoxTrace",
     "FlightRecorder",
-    "LaneHarness",
+    "MissionHarness",
     "TickRecord",
     "run_trials_ensemble",
     "CampaignRun",

@@ -17,8 +17,9 @@ everything runs in this process.
 Trials fly on the ensemble engine by default (``--engine ensemble``):
 each group steps all its trials in lockstep through one vectorized
 simulator.  ``--engine scalar`` flies a group trial by trial, one scalar
-simulator each.  Both engines write byte-identical ``campaign.json`` and
-``traces/``.
+simulator each.  Both engines fly the same harness and tick loop
+(:mod:`repro.chaos.harness`) and write byte-identical ``campaign.json``
+and ``traces/``.
 
 ``--checkpoint PATH`` journals every completed group, so a campaign
 killed mid-run — worker SIGKILL or whole-process SIGKILL alike — can be
@@ -28,10 +29,11 @@ is then written next to the campaign artifacts as ``execution.json``.
 The grouping depends on the worker count, so resume with the same
 ``--workers``/``--inline``.
 
-Exit status: 0 on success, 1 when ``--replay-failures`` finds a replay
-mismatch (a broken determinism contract), 2 on usage errors (including a
-``--resume`` whose journal belongs to a different campaign or worker
-count).
+Exit status: 0 on success, 1 when every trial was quarantined or
+``--replay-failures`` finds a replay mismatch (a broken determinism
+contract), 2 on usage errors (including a configuration no trial can fly,
+such as ``--physics-rate`` below 100 Hz, and a ``--resume`` whose journal
+belongs to a different campaign or worker count).
 """
 
 from __future__ import annotations
@@ -257,6 +259,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"({record.attempts} attempt(s))",
             file=sys.stderr,
         )
+    if not results:
+        print("error: every trial was quarantined", file=sys.stderr)
+        return 1
     report = triage(results)
     print(_format_report(report))
 

@@ -21,6 +21,7 @@ import numpy as np
 from repro.chaos.invariants import SafetyLimits
 from repro.faults.envelope import DEFAULT_CRASH_ENVELOPE, CrashEnvelope
 from repro.faults.schedule import FaultKind, FaultSchedule
+from repro.sim.simulator import check_physics_rate
 
 #: Fault kinds the chaos sampler draws from: every closed-loop kind the
 #: injector can land in the simulator stack.  Perception kinds act on SLAM
@@ -84,6 +85,19 @@ class CampaignConfig:
                 f"duration {self.duration_s} s must exceed the "
                 f"settle window {self.settle_s} s"
             )
+        check_physics_rate(self.physics_rate_hz)
+        if not self.control_step_s > 0:
+            raise ValueError(f"control step must be positive: {self.control_step_s}")
+        if not self.takeoff_altitude_m > 0:
+            raise ValueError(
+                f"takeoff altitude must be positive: {self.takeoff_altitude_m}"
+            )
+        if self.recorder_maxlen <= 0:
+            raise ValueError(
+                f"recorder depth must be positive: {self.recorder_maxlen}"
+            )
+        if not self.min_onset_s >= 0:
+            raise ValueError(f"fault onset cannot be negative: {self.min_onset_s}")
         if self.min_onset_s >= self.duration_s:
             raise ValueError("faults must be able to start before the trial ends")
         if not 0.0 <= self.open_window_probability <= 1.0:

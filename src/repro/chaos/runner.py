@@ -1,7 +1,8 @@
 """Chaos trial runner, parallel campaign execution, and replay harness.
 
 One trial = one closed-loop flight of the shared square mission under a
-sampled compound fault schedule, watched by the
+sampled compound fault schedule, flown through the fault-mission harness
+of :mod:`repro.chaos.harness`: watched by the
 :class:`~repro.chaos.invariants.SafetyMonitor` and recorded by the
 :class:`~repro.chaos.recorder.FlightRecorder`.  The runner's contract is
 strict determinism: a :class:`TrialResult` is a pure function of
@@ -13,206 +14,43 @@ schedule)`` tuple and assert bit-for-bit equality of verdicts and metrics.
 .ParallelSweepRunner` — the same supervised, deterministic-chunking pool
 the design-space sweeps use — so a multi-hundred-trial campaign saturates
 the machine without giving up input-order results.  Each work item is a
-whole group of trials (:func:`ensemble_groups`), flown by
-:mod:`repro.chaos.ensemble` by default; :func:`run_trial` stays the scalar
-oracle that replay and the equivalence tests compare against.
+whole group of trials (:func:`ensemble_groups`).  By default a group flies
+in lockstep through one vectorized ensemble; :func:`run_trial` flies one
+trial alone on a scalar simulator and stays the oracle that replay and
+the equivalence tests compare against.  Both engines run the one tick
+loop of :func:`repro.chaos.harness.fly`.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from repro.analysis.markers import pure
-from repro.autopilot.arducopter import Autopilot, FlightMode, MissionItem
-from repro.autopilot.mavlink import Link, MessageType
-from repro.autopilot.offload import PoseStalenessWatchdog
-from repro.chaos.campaign import CampaignConfig, TrialSpec, generate_campaign
-from repro.chaos.invariants import SafetyMonitor, Violation
-from repro.chaos.recorder import BlackBoxTrace, FlightRecorder
+from repro.chaos.campaign import (
+    EKF_KINDS,
+    LINK_KINDS,
+    CampaignConfig,
+    TrialSpec,
+    generate_campaign,
+    generate_trial,
+)
+from repro.chaos.harness import TrialResult, fly_alone, fly_lockstep
+from repro.chaos.recorder import BlackBoxTrace
 from repro.core.parallel import ParallelSweepRunner, SweepRunnerConfig
 from repro.exec.report import ExecState, ExecutionReport, QuarantineRecord
-from repro.faults.injectors import FaultInjector
-from repro.faults.scenarios import DEFAULT_MODEL, HEARTBEAT_PERIOD_S
-from repro.sim.simulator import DroneModel, FlightSimulator
-
-#: Trial verdicts, ordered by severity.
-VERDICT_SAFE = "safe"
-VERDICT_VIOLATION = "violation"
-VERDICT_CRASH = "crash"
-
-
-@dataclass(frozen=True)
-class TrialResult:
-    """Outcome of one chaos trial (deterministic in its spec + config)."""
-
-    spec: TrialSpec
-    verdict: str
-    violation: Optional[Violation]
-    final_failsafe: str
-    final_mode: str
-    mission_completion: float
-    recovery_time_s: Optional[float]
-    min_soc: float
-    landed: bool
-    fault_kinds: Tuple[str, ...]
-    violation_count: int
-    trace: Optional[BlackBoxTrace]
-
-    @property
-    def failed(self) -> bool:
-        return self.verdict != VERDICT_SAFE
-
-    @property
-    def violated_invariant(self) -> Optional[str]:
-        return None if self.violation is None else self.violation.invariant
-
-    def metrics(self) -> Tuple:
-        """The determinism fingerprint replayed trials must reproduce
-        exactly (verdict, attribution, and every outcome metric)."""
-        return (
-            self.spec.campaign_seed,
-            self.spec.trial_index,
-            self.verdict,
-            self.violation,
-            self.final_failsafe,
-            self.final_mode,
-            self.mission_completion,
-            self.recovery_time_s,
-            self.min_soc,
-            self.landed,
-            self.fault_kinds,
-            self.violation_count,
-        )
-
-
-def _square_mission(half_extent_m: float, altitude_m: float) -> List[MissionItem]:
-    """The campaign's shared mission: a square around home."""
-    corners = (
-        (half_extent_m, 0.0, altitude_m),
-        (half_extent_m, half_extent_m, altitude_m),
-        (0.0, half_extent_m, altitude_m),
-        (0.0, 0.0, altitude_m),
-    )
-    return [MissionItem(np.asarray(corner, dtype=float)) for corner in corners]
-
-
-def _recovery_time_s(autopilot: Autopilot, spec: TrialSpec) -> Optional[float]:
-    """Time from first fault onset to the first ladder reaction."""
-    onset_s = spec.schedule.first_fault_s
-    if math.isinf(onset_s):
-        return None
-    for time_s, text in autopilot.events:
-        if time_s + 1e-9 >= onset_s and (
-            text.startswith("FAILSAFE") or text.startswith("DEGRADED")
-        ):
-            return time_s - onset_s
-    return None
+from repro.faults.schedule import FaultKind
 
 
 @pure
 def run_trial(spec: TrialSpec, config: CampaignConfig) -> TrialResult:
     """Fly one chaos trial to completion (or loss) and judge it."""
-    model = DroneModel(**DEFAULT_MODEL)
-    sim = FlightSimulator(
-        model, physics_rate_hz=config.physics_rate_hz, use_ekf=spec.use_ekf
-    )
-    link = Link(seed=spec.link_seed)
-    autopilot = Autopilot(sim, link=link)
-    if spec.offload:
-        autopilot.pose_watchdog = PoseStalenessWatchdog()
-    injector = FaultInjector(autopilot, spec.schedule)
-    monitor = SafetyMonitor(
-        autopilot,
-        spec.schedule,
-        limits=config.limits,
-        envelope=config.envelope,
-    )
-    recorder = FlightRecorder(maxlen=config.recorder_maxlen)
-
-    min_soc = sim.battery.state_of_charge
-    next_heartbeat_s = 0.0
-
-    def tick() -> bool:
-        """One control cycle; False once a terminal invariant fires."""
-        nonlocal min_soc, next_heartbeat_s
-        now = sim.time_s
-        injector.apply(now)
-        if spec.heartbeats and now + 1e-9 >= next_heartbeat_s:
-            next_heartbeat_s = now + HEARTBEAT_PERIOD_S
-            link.send(MessageType.HEARTBEAT)
-        if spec.offload and not injector.offload_blocked(now):
-            autopilot.pose_watchdog.note_pose(now)
-        autopilot.update(config.control_step_s)
-        min_soc = min(min_soc, sim.battery.state_of_charge)
-        monitor.check(sim.time_s)
-        recorder.record(autopilot, monitor.active_fault_names())
-        return not monitor.crashed
-
-    autopilot.arm()
-    autopilot.takeoff(config.takeoff_altitude_m)
-    elapsed_s = 0.0
-    alive = True
-    while alive and elapsed_s < config.settle_s:
-        alive = tick()
-        elapsed_s += config.control_step_s
-    if alive:
-        autopilot.upload_mission(
-            _square_mission(
-                config.mission_half_extent_m, config.takeoff_altitude_m
-            )
-        )
-        autopilot.set_mode(FlightMode.AUTO)
-        while alive and elapsed_s < config.duration_s:
-            alive = tick()
-            elapsed_s += config.control_step_s
-
-    if monitor.crashed:
-        verdict = VERDICT_CRASH
-    elif monitor.violations:
-        verdict = VERDICT_VIOLATION
-    else:
-        verdict = VERDICT_SAFE
-    altitude_m = float(sim.body.state.position_m[2])
-    trace: Optional[BlackBoxTrace] = None
-    if verdict != VERDICT_SAFE:
-        trace = BlackBoxTrace(
-            campaign_seed=spec.campaign_seed,
-            trial_index=spec.trial_index,
-            link_seed=spec.link_seed,
-            verdict=verdict,
-            schedule=spec.schedule,
-            violation=monitor.first_violation,
-            events=tuple(autopilot.events),
-            ticks=list(recorder.ticks),
-            dropped_ticks=recorder.dropped_ticks,
-        )
-    return TrialResult(
-        spec=spec,
-        verdict=verdict,
-        violation=monitor.first_violation,
-        final_failsafe=autopilot.failsafe.name,
-        final_mode=autopilot.mode.value,
-        mission_completion=autopilot.mission_progress,
-        recovery_time_s=_recovery_time_s(autopilot, spec),
-        min_soc=min_soc,
-        landed=altitude_m < 0.3,
-        fault_kinds=tuple(
-            sorted({event.kind.value for event in spec.schedule.events})
-        ),
-        violation_count=len(monitor.violations),
-        trace=trace,
-    )
+    return fly_alone(spec, config).judge()
 
 
 def run_trial_by_index(config: CampaignConfig, trial_index: int) -> TrialResult:
     """Regenerate and fly one trial from its campaign identity alone."""
-    from repro.chaos.campaign import generate_trial
-
     return run_trial(generate_trial(config, trial_index), config)
 
 
@@ -242,9 +80,6 @@ def _spec_from_trace(trace: BlackBoxTrace) -> TrialSpec:
     Harness flags are re-derived from the schedule's kinds — the same rule
     the campaign generator applied — so the trace file alone suffices.
     """
-    from repro.chaos.campaign import EKF_KINDS, LINK_KINDS
-    from repro.faults.schedule import FaultKind
-
     kinds = {event.kind for event in trace.schedule.events}
     return TrialSpec(
         campaign_seed=trace.campaign_seed,
@@ -328,19 +163,38 @@ def _fly_group(
 ) -> List[Tuple[int, TrialResult]]:
     """Module-level worker entry point: fly one group on one engine.
 
-    ``"ensemble"`` steps the whole group through
-    :func:`repro.chaos.ensemble.run_trials_ensemble`; ``"scalar"`` flies
-    it trial by trial with :func:`run_trial`.
+    ``"ensemble"`` steps the whole group in lockstep through one
+    :class:`~repro.sim.ensemble.EnsembleFlightSimulator`; ``"scalar"``
+    flies it trial by trial with :func:`run_trial`.
     """
     group, config, engine = item
     specs = [spec for _, spec in group]
     if engine == "ensemble":
-        from repro.chaos.ensemble import run_trials_ensemble
-
-        results = run_trials_ensemble(specs, config)
+        results = [harness.judge() for harness in fly_lockstep(specs, config)]
     else:
         results = [run_trial(spec, config) for spec in specs]
     return [(index, result) for (index, _), result in zip(group, results)]
+
+
+def run_trials_ensemble(
+    specs: Sequence[TrialSpec],
+    config: CampaignConfig,
+    ensemble_width: Optional[int] = None,
+) -> List[TrialResult]:
+    """Fly ``specs`` through ensemble groups, in this process; results in
+    input order.
+
+    Specs are split by :func:`ensemble_groups` (``ensemble_width`` caps
+    the lanes per group) and each group flies in lockstep through one
+    ensemble.  Every result is fingerprint-identical to :func:`run_trial`
+    on the same ``(spec, config)``.
+    """
+    by_index = dict(
+        pair
+        for group in ensemble_groups(specs, width=ensemble_width)
+        for pair in _fly_group((group, config, "ensemble"))
+    )
+    return [by_index[index] for index in range(len(specs))]
 
 
 def _check_engine(engine: str) -> None:
@@ -379,7 +233,7 @@ def run_campaign(
     pool of :mod:`repro.exec`, so inline (``max_workers=1``, the default)
     and parallel runs return identical results.  ``engine="ensemble"``
     flies each group in lockstep through
-    :func:`repro.chaos.ensemble.run_trials_ensemble`; ``engine="scalar"``
+    :func:`run_trials_ensemble`; ``engine="scalar"``
     flies it trial by trial with :func:`run_trial`.  Results are
     fingerprint-identical across engines (the contract
     :func:`verify_replay` checks); the ensemble is just faster.

@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.chaos.runner import (
+from repro.chaos.harness import (
     TrialResult,
     VERDICT_CRASH,
     VERDICT_SAFE,

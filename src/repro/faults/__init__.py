@@ -1,10 +1,15 @@
 """Deterministic fault injection and graceful-degradation scenarios.
 
 The reliability envelope of the paper's closed-loop stack: time-windowed
-fault schedules (:mod:`repro.faults.schedule`), injectors that land each
-fault in the right subsystem (:mod:`repro.faults.injectors`), and a
-scenario harness measuring survival, recovery time, and mission-completion
-degradation (:mod:`repro.faults.scenarios`).
+fault schedules (:mod:`repro.faults.schedule`), the crash envelope
+(:mod:`repro.faults.envelope`) and injectors that land each fault in the
+right subsystem (:mod:`repro.faults.injectors`).
+
+The canned scenarios measuring survival, recovery time, and
+mission-completion degradation live in :mod:`repro.faults.scenarios`.
+They fly through the chaos engine's harness (:mod:`repro.chaos.harness`),
+which is built on this package, so this package does not import them:
+use ``from repro.faults.scenarios import run_scenario``.
 """
 
 from repro.faults.schedule import (
@@ -21,12 +26,6 @@ from repro.faults.perception import (
     PerceptionScenario,
     perception_scenarios,
 )
-from repro.faults.scenarios import (
-    Scenario,
-    ScenarioResult,
-    run_scenario,
-    standard_scenarios,
-)
 
 __all__ = [
     "FaultEvent",
@@ -40,8 +39,4 @@ __all__ = [
     "PerceptionFaultInjector",
     "PerceptionScenario",
     "perception_scenarios",
-    "Scenario",
-    "ScenarioResult",
-    "run_scenario",
-    "standard_scenarios",
 ]

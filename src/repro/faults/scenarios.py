@@ -3,44 +3,29 @@
 Each scenario flies the same waypoint mission through a different corner of
 the reliability envelope (GPS outage, link blackout, battery faults, motor
 degradation, offload-node stalls) and reports survival, recovery time, and
-mission-completion degradation.  Runs are deterministic: the same scenario
-and seed reproduce the same metrics bit-for-bit.
+mission-completion degradation.  A scenario flies as a one-trial chaos
+campaign with a hand-written fault schedule: the same harness and tick
+loop (:mod:`repro.chaos.harness`) as every chaos trial.  Runs are
+deterministic: the same scenario and seed reproduce the same metrics
+bit-for-bit.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
-import numpy as np
-
-from repro.autopilot.arducopter import Autopilot, FlightMode, MissionItem
-from repro.autopilot.mavlink import Link, MessageType
-from repro.autopilot.offload import PoseStalenessWatchdog
+from repro.chaos.campaign import CampaignConfig, TrialSpec
+from repro.chaos.harness import fly_alone
 from repro.faults.envelope import DEFAULT_CRASH_ENVELOPE, CrashEnvelope
-from repro.faults.injectors import FaultInjector
 from repro.faults.schedule import FaultKind, FaultSchedule
-from repro.sim.simulator import DroneModel, FlightSimulator
 
 #: The shared mission: an 8 m square at 4 m altitude, ~25 s of flying —
 #: long enough that mid-mission faults abort real work.
-DEFAULT_WAYPOINTS = (
-    (8.0, 0.0, 4.0),
-    (8.0, 8.0, 4.0),
-    (0.0, 8.0, 4.0),
-    (0.0, 0.0, 4.0),
-)
-DEFAULT_MODEL = dict(
-    mass_kg=1.071,
-    wheelbase_mm=450.0,
-    battery_cells=3,
-    battery_capacity_mah=3000.0,
-)
+MISSION_HALF_EXTENT_M = 8.0
 TAKEOFF_ALTITUDE_M = 4.0
 TAKEOFF_SETTLE_S = 6.0
 CONTROL_STEP_S = 0.1
-HEARTBEAT_PERIOD_S = 1.0
 
 
 @dataclass(frozen=True)
@@ -49,7 +34,7 @@ class Scenario:
 
     name: str
     schedule_factory: Callable[[], FaultSchedule]
-    waypoints: Tuple[Tuple[float, float, float], ...] = DEFAULT_WAYPOINTS
+    #: Whole flight, takeoff settle included.
     duration_s: float = 40.0
     #: EKF-in-the-loop flight (required for GPS/IMU fault scenarios).
     use_ekf: bool = False
@@ -59,10 +44,11 @@ class Scenario:
     heartbeats: bool = False
 
     def __post_init__(self) -> None:
-        if self.duration_s <= 0:
-            raise ValueError(f"duration must be positive: {self.duration_s}")
-        if not self.waypoints:
-            raise ValueError("scenario needs at least one waypoint")
+        if not self.duration_s > TAKEOFF_SETTLE_S:
+            raise ValueError(
+                f"duration {self.duration_s} s must exceed the "
+                f"{TAKEOFF_SETTLE_S} s takeoff settle"
+            )
 
 
 @dataclass(frozen=True)
@@ -105,79 +91,46 @@ def run_scenario(
     physics_rate_hz: float = 400.0,
     envelope: CrashEnvelope = DEFAULT_CRASH_ENVELOPE,
 ) -> ScenarioResult:
-    """Fly one scenario to completion and measure the outcome."""
-    model = DroneModel(**DEFAULT_MODEL)
-    sim = FlightSimulator(
-        model, physics_rate_hz=physics_rate_hz, use_ekf=scenario.use_ekf
+    """Fly one scenario to completion and measure the outcome.
+
+    ``seed`` seeds the lossy link.  The flight stops on the first tick the
+    safety monitor's ``crash.*`` invariants fire; they test exactly the
+    conditions of ``envelope.crash_reason``, in the same order, so
+    evaluating it on the final state names the crash.
+    """
+    config = CampaignConfig(
+        trials=1,
+        duration_s=scenario.duration_s,
+        physics_rate_hz=physics_rate_hz,
+        control_step_s=CONTROL_STEP_S,
+        takeoff_altitude_m=TAKEOFF_ALTITUDE_M,
+        settle_s=TAKEOFF_SETTLE_S,
+        mission_half_extent_m=MISSION_HALF_EXTENT_M,
+        envelope=envelope,
     )
-    link = Link(seed=seed)
-    autopilot = Autopilot(sim, link=link)
-    if scenario.offload:
-        autopilot.pose_watchdog = PoseStalenessWatchdog()
-    schedule = scenario.schedule_factory()
-    injector = FaultInjector(autopilot, schedule)
-
-    min_soc = sim.battery.state_of_charge
-    crash: Optional[str] = None
-    next_heartbeat_s = 0.0
-
-    def tick() -> bool:
-        """One control cycle; returns False once the vehicle is lost."""
-        nonlocal min_soc, crash, next_heartbeat_s
-        now = sim.time_s
-        injector.apply(now)
-        if scenario.heartbeats and now + 1e-9 >= next_heartbeat_s:
-            next_heartbeat_s = now + HEARTBEAT_PERIOD_S
-            link.send(MessageType.HEARTBEAT)
-        if scenario.offload and not injector.offload_blocked(now):
-            autopilot.pose_watchdog.note_pose(now)
-        autopilot.update(CONTROL_STEP_S)
-        min_soc = min(min_soc, sim.battery.state_of_charge)
-        crash = envelope.crash_reason(sim)
-        return crash is None
-
-    autopilot.arm()
-    autopilot.takeoff(TAKEOFF_ALTITUDE_M)
-    elapsed = 0.0
-    alive = True
-    while alive and elapsed < TAKEOFF_SETTLE_S:
-        alive = tick()
-        elapsed += CONTROL_STEP_S
-    if alive:
-        autopilot.upload_mission(
-            [MissionItem(np.asarray(w, dtype=float)) for w in scenario.waypoints]
-        )
-        autopilot.set_mode(FlightMode.AUTO)
-        while alive and elapsed < scenario.duration_s:
-            alive = tick()
-            elapsed += CONTROL_STEP_S
-
-    completion = autopilot.mission_progress
-    altitude = float(sim.body.state.position_m[2])
+    spec = TrialSpec(
+        campaign_seed=seed,
+        trial_index=0,
+        link_seed=seed,
+        schedule=scenario.schedule_factory(),
+        use_ekf=scenario.use_ekf,
+        heartbeats=scenario.heartbeats,
+        offload=scenario.offload,
+    )
+    harness = fly_alone(spec, config)
+    result = harness.judge()
     return ScenarioResult(
         scenario=scenario.name,
-        survived=crash is None,
-        crash_reason=crash,
-        final_failsafe=autopilot.failsafe.name,
-        final_mode=autopilot.mode.value,
-        mission_completion=completion,
-        recovery_time_s=_recovery_time(autopilot, schedule),
-        min_soc=min_soc,
-        landed=altitude < 0.3,
-        events=tuple(autopilot.events),
+        survived=not harness.monitor.crashed,
+        crash_reason=envelope.crash_reason(harness.autopilot.sim),
+        final_failsafe=result.final_failsafe,
+        final_mode=result.final_mode,
+        mission_completion=result.mission_completion,
+        recovery_time_s=result.recovery_time_s,
+        min_soc=result.min_soc,
+        landed=result.landed,
+        events=tuple(harness.autopilot.events),
     )
-
-
-def _recovery_time(autopilot: Autopilot, schedule: FaultSchedule) -> Optional[float]:
-    onset = schedule.first_fault_s
-    if math.isinf(onset):
-        return None
-    for time_s, text in autopilot.events:
-        if time_s + 1e-9 >= onset and (
-            text.startswith("FAILSAFE") or text.startswith("DEGRADED")
-        ):
-            return time_s - onset
-    return None
 
 
 # -- canned scenarios -------------------------------------------------------------

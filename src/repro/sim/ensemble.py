@@ -55,7 +55,12 @@ from repro.control.cascade import ControlRates, TargetMode
 from repro.physics import constants
 from repro.physics.environment import Wind
 from repro.physics.rigid_body import QuadcopterState, euler_from_quaternion
-from repro.sim.simulator import DroneModel, FlightSimulator, SimSample
+from repro.sim.simulator import (
+    DroneModel,
+    FlightSimulator,
+    SimSample,
+    check_physics_rate,
+)
 
 __all__ = [
     "EnsembleFlightSimulator",
@@ -313,6 +318,7 @@ class EnsembleFlightSimulator:
     ):
         if n_lanes <= 0:
             raise ValueError(f"need at least one lane, got {n_lanes}")
+        check_physics_rate(physics_rate_hz)
         # The template is the single source of every derived constant — the
         # mixer inverse, inertia, power denominators — so the ensemble can
         # never drift from what FlightSimulator.__init__ computes.

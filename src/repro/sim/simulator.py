@@ -87,6 +87,28 @@ class DroneModel:
         )
 
 
+#: Slowest physics rate the thrust loop stays stable at.
+MIN_PHYSICS_RATE_HZ = 100.0
+
+
+def check_physics_rate(physics_rate_hz: float) -> None:
+    """Reject a physics rate no simulator can fly.
+
+    Shared by both engines and by the chaos campaign config, so every
+    entry point refuses the same rates: NaN and infinity (the step count
+    of ``run_for`` is undefined) and anything below
+    :data:`MIN_PHYSICS_RATE_HZ`.
+    """
+    if not (
+        math.isfinite(physics_rate_hz) and physics_rate_hz >= MIN_PHYSICS_RATE_HZ
+    ):
+        raise ValueError(
+            "physics rate must be finite and at least "
+            f"{MIN_PHYSICS_RATE_HZ:.0f} Hz (slower destabilizes the thrust "
+            f"loop): {physics_rate_hz}"
+        )
+
+
 @dataclass
 class SimSample:
     """One telemetry sample of the running simulation."""
@@ -113,11 +135,7 @@ class FlightSimulator:
         environment: Optional[Environment] = None,
         record_rate_hz: float = 50.0,
     ):
-        if physics_rate_hz < 100.0:
-            raise ValueError(
-                f"physics rate below 100 Hz destabilizes the thrust loop: "
-                f"{physics_rate_hz}"
-            )
+        check_physics_rate(physics_rate_hz)
         self.model = model
         self.physics_rate_hz = physics_rate_hz
         self.use_ekf = use_ekf

@@ -33,7 +33,7 @@ from repro.chaos import (
 )
 from repro.chaos.campaign import EKF_KINDS, LINK_KINDS
 from repro.chaos.recorder import BlackBoxTrace, TickRecord
-from repro.chaos.runner import TrialResult, VERDICT_CRASH, VERDICT_SAFE, VERDICT_VIOLATION
+from repro.chaos.harness import TrialResult, VERDICT_CRASH, VERDICT_SAFE, VERDICT_VIOLATION
 from repro.chaos.__main__ import main as chaos_main
 from repro.faults.schedule import FaultKind, FaultSchedule
 from repro.sim.simulator import DroneModel, FlightSimulator
@@ -138,6 +138,24 @@ class TestCampaignGenerator:
             CampaignConfig(open_window_probability=1.5)
         with pytest.raises(ValueError):
             CampaignConfig(max_faults=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("control_step_s", 0.0),
+            ("control_step_s", -0.1),
+            ("physics_rate_hz", 50.0),
+            ("physics_rate_hz", float("nan")),
+            ("takeoff_altitude_m", 0.0),
+            ("recorder_maxlen", 0),
+            ("min_onset_s", -1.0),
+        ],
+    )
+    def test_unflyable_config_rejected_at_construction(self, field, value):
+        """Each of these used to quarantine every trial (or fail only
+        inside ``run_campaign``)."""
+        with pytest.raises(ValueError):
+            CampaignConfig(**{field: value})
 
     def test_spec_serialization_roundtrip(self):
         spec = generate_trial(CONFIG, 2)
@@ -476,3 +494,22 @@ class TestChaosCli:
         assert chaos_main(["--trials", "0"]) == 2
         assert chaos_main(["--duration", "3.0"]) == 2
         assert "error:" in capsys.readouterr().err
+        argv = ["--trials", "3", "--duration", "6", "--physics-rate", "50"]
+        assert chaos_main(argv + ["--inline"]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "physics rate" in err
+
+    def test_all_quarantined_campaign_exits_one(self, monkeypatch, capsys):
+        """With every trial quarantined there is nothing to triage."""
+        from repro.chaos import runner
+
+        def always_fail(item):
+            raise RuntimeError("poisoned")
+
+        monkeypatch.setattr(runner, "_fly_group", always_fail)
+        argv = ["--seed", "6", "--trials", "2", "--duration", "6.5", "--inline"]
+        assert chaos_main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("QUARANTINED trial") == 2
+        assert "error: every trial was quarantined" in err
+        assert "Traceback" not in err

@@ -28,6 +28,7 @@ from repro.chaos import (
 )
 from repro.chaos.recorder import BlackBoxTrace
 from repro.core.parallel import SweepRunnerConfig
+from tests.goldens import campaign_digest
 
 #: The acceptance campaign: 200 trials, fixed seed, short flights at 200 Hz.
 ACCEPTANCE_CONFIG = CampaignConfig(
@@ -39,6 +40,11 @@ ACCEPTANCE_CONFIG = CampaignConfig(
     min_onset_s=2.0,
     mission_half_extent_m=3.5,
 )
+
+#: ``campaign_digest`` of the acceptance campaign, computed before the
+#: scalar trial, the ensemble group and the canned scenarios shared one
+#: harness.  The scalar engine flew the same digest at that commit.
+GOLDEN_DIGEST = "536e34d9db8bb8ef6920287cd97fad412ccbb1d0c623c2398d6a3ccc5fbb27f9"
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +65,10 @@ def test_campaign_shape(campaign_results):
         assert result.spec.trial_index == index
         assert result.spec.campaign_seed == ACCEPTANCE_CONFIG.campaign_seed
         assert result.verdict in (VERDICT_SAFE, VERDICT_VIOLATION, VERDICT_CRASH)
+
+
+def test_campaign_matches_golden_digest(campaign_results):
+    assert campaign_digest(campaign_results) == GOLDEN_DIGEST
 
 
 def test_campaign_exercises_failure_modes(campaign_results):

@@ -24,18 +24,25 @@ from repro.chaos import (
 from repro.chaos.campaign import TrialSpec, generate_campaign
 from repro.chaos.runner import ensemble_groups
 from repro.core.parallel import SweepRunnerConfig
-from repro.faults.scenarios import DEFAULT_MODEL
+from repro.chaos.harness import DEFAULT_MODEL
 from repro.faults.schedule import FaultSchedule
 from repro.physics.environment import Wind
 from repro.sim import ensemble as ensemble_module
 from repro.sim.ensemble import EnsembleFlightSimulator, hover_gust_monte_carlo
 from repro.sim.simulator import DroneModel, FlightSimulator
+from tests.goldens import campaign_digest
 
 #: Keep the raw-stepping tests at the campaign default rate — cheap, and
 #: the rate the chaos equivalence below exercises anyway.
 RATE_HZ = 200.0
 
 TARGETS = ([2.0, 0.0, 4.0], [0.0, -3.0, 5.0], [-1.0, 1.0, 6.0])
+
+#: ``campaign_digest`` of the two equality campaigns below, computed before
+#: the scalar trial, the ensemble group and the canned scenarios shared one
+#: harness.  Both engines must reproduce them.
+GOLDEN_8_TRIALS = "d008d4d2c4a4a68d353afd6a348d4355bfb162b091cdb2fabf38af6501becb96"
+GOLDEN_64_TRIALS = "6373e3ca47b18582a687ce88431ca7c612d79091a58d7239754f54f95f884dc3"
 
 
 def _model() -> DroneModel:
@@ -253,6 +260,8 @@ class TestChaosCampaignEquivalence:
             assert (ref.trace is None) == (got.trace is None)
             if ref.trace is not None:
                 assert ref.trace.fingerprint() == got.trace.fingerprint()
+        assert campaign_digest(scalar) == GOLDEN_8_TRIALS
+        assert campaign_digest(ensemble) == GOLDEN_8_TRIALS
         assert verify_replay(ensemble[0], config)
 
     def test_64_trial_campaign_replays_identically(self):
@@ -268,6 +277,8 @@ class TestChaosCampaignEquivalence:
             if ref.trace is not None:
                 assert got.trace is not None
                 assert ref.trace.fingerprint() == got.trace.fingerprint()
+        assert campaign_digest(scalar) == GOLDEN_64_TRIALS
+        assert campaign_digest(ensemble) == GOLDEN_64_TRIALS
 
     def test_two_groups_on_two_workers_submit_two_chunks(self, monkeypatch):
         """Each ensemble group is its own pool chunk, so both workers fly."""
@@ -314,6 +325,22 @@ class TestChaosCampaignEquivalence:
 
 
 class TestEnsembleApi:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda rate: FlightSimulator(_model(), physics_rate_hz=rate),
+            lambda rate: EnsembleFlightSimulator(
+                _model(), n_lanes=2, physics_rate_hz=rate
+            ),
+        ],
+        ids=["scalar", "ensemble"],
+    )
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), 99.0])
+    def test_unflyable_physics_rate_rejected(self, build, rate):
+        """Both engines refuse NaN, infinity and sub-100 Hz at construction."""
+        with pytest.raises(ValueError, match="physics rate"):
+            build(rate)
+
     def test_unknown_engine_rejected(self):
         config = CampaignConfig(trials=2, duration_s=8.0)
         with pytest.raises(ValueError, match="engine"):
