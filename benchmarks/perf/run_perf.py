@@ -35,6 +35,10 @@ by ``--min-speedup``, the SLAM/platform kernel speedups by
 Python/NumPy versions and git SHA it was measured at, and is mirrored to
 the repository root.
 
+The scalar sides of the SLAM and platform pairs are the oracles in
+``tests/oracles/``; the script puts the repository root on ``sys.path`` to
+import them.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/perf/run_perf.py               # write baselines here
@@ -56,6 +60,9 @@ from pathlib import Path
 from typing import Dict, List, Tuple
 
 import numpy as np
+
+# The repository root, for the scalar oracles in tests/oracles/.
+sys.path.insert(1, str(Path(__file__).resolve().parents[2]))
 
 from harness import (
     DEFAULT_TOLERANCE,
@@ -95,6 +102,8 @@ from repro.sim.simulator import DroneModel, FlightSimulator
 from repro.slam.bundle_adjustment import global_bundle_adjust
 from repro.slam.dataset import all_sequence_names, cached_sequence, load_sequence
 from repro.slam.pipeline import SlamPipeline, run_slam
+from tests.oracles import platforms as platforms_oracle
+from tests.oracles import slam as slam_oracle
 
 #: Simulated duration of the simulator workload (seconds of flight).
 SIM_DURATION_S = 30.0
@@ -246,10 +255,10 @@ def slam_ba_workloads(runs: int, warmup: int) -> List[TimingResult]:
     global_bundle_adjust(slam_map, sequence.camera)
 
     def scalar_ba() -> None:
-        global_bundle_adjust(slam_map, sequence.camera, engine="scalar")
+        slam_oracle.global_bundle_adjust(slam_map, sequence.camera)
 
     def batch_ba() -> None:
-        global_bundle_adjust(slam_map, sequence.camera, engine="batch")
+        global_bundle_adjust(slam_map, sequence.camera)
 
     return [
         time_callable("scalar_ba_mh01", scalar_ba, warmup=warmup, runs=runs),
@@ -270,10 +279,10 @@ def platform_corun_workloads(runs: int, warmup: int) -> List[TimingResult]:
     )
 
     def scalar_corun() -> None:
-        InOrderCore().run_segments(segments, engine="scalar")
+        platforms_oracle.run_segments(InOrderCore(), segments)
 
     def batch_corun() -> None:
-        InOrderCore().run_segments(segments, engine="batch")
+        InOrderCore().run_segments(segments)
 
     return [
         time_callable("scalar_corun_fig15", scalar_corun,

@@ -10,7 +10,7 @@ module mirrors that API surface over our autopilot: ``connect`` returns a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -233,7 +233,9 @@ class ReliableCommander:
         return None
 
 
-def connect(model: DroneModel = None, physics_rate_hz: float = 400.0) -> Vehicle:
+def connect(
+    model: Optional[DroneModel] = None, physics_rate_hz: float = 400.0
+) -> Vehicle:
     """Create a simulated vehicle — the ``dronekit.connect`` analogue.
 
     >>> vehicle = connect()

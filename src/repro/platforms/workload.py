@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -175,7 +176,10 @@ def slam_trace(
 
 
 def interleave(
-    a: Trace, b: Trace, timeslice: int = 5_000, timeslice_b: int = None
+    a: Trace,
+    b: Trace,
+    timeslice: int = 5_000,
+    timeslice_b: Optional[int] = None,
 ) -> list:
     """Round-robin co-schedule two traces into (context, Trace) segments.
 

@@ -10,7 +10,7 @@ flight-simulator integration for (b).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -58,7 +58,9 @@ class PowerTrace:
         if self.times_s.shape != self.powers_w.shape:
             raise ValueError("times and powers must have the same shape")
 
-    def mean_power_w(self, start_s: float = 0.0, end_s: float = None) -> float:
+    def mean_power_w(
+        self, start_s: float = 0.0, end_s: Optional[float] = None
+    ) -> float:
         end = self.times_s[-1] if end_s is None else end_s
         mask = (self.times_s >= start_s) & (self.times_s <= end)
         if not np.any(mask):
@@ -151,8 +153,8 @@ def figure16a_trace(seed: int = 7) -> PowerTrace:
 
 
 def figure16b_trace(
-    model: DroneModel = None,
-    mission: Mission = None,
+    model: Optional[DroneModel] = None,
+    mission: Optional[Mission] = None,
     physics_rate_hz: float = 400.0,
 ) -> PowerTrace:
     """Reconstruct the whole-drone flight power trace of Figure 16b.

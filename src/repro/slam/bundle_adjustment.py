@@ -21,15 +21,10 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.slam import kernels
 from repro.slam.dataset import CameraModel
 from repro.slam.map import Keyframe, MapPoint, SlamMap
-from repro.slam.tracking import (
-    TrackingLostError,
-    _pose_jacobian,
-    camera_point,
-    reprojection_residual,
-    track_pose,
-)
+from repro.slam.tracking import TrackingLostError, track_pose
 
 LOCAL_BA_WINDOW = 5
 
@@ -90,26 +85,19 @@ class BaResult:
         return self.final_rms_px <= self.initial_rms_px + 1e-9
 
 
-def _pair_arrays(
-    keyframes: List[Keyframe],
-    points: Dict[int, MapPoint],
-    point_index: Optional[Dict[int, int]] = None,
-):
-    """Stack (keyframe, observation) pairs in scalar iteration order.
+def _pair_arrays(keyframes: List[Keyframe], points: Dict[int, MapPoint]):
+    """Stack (keyframe, observation) pairs, keyframe-major.
 
-    Keyframe-major, observation-dict-minor — the order both scalar loops
-    (:func:`_collect_residuals` and the per-keyframe resection gather) walk.
-    Returns (landmarks, pixels, positions, cos_yaw, sin_yaw, rows) arrays;
-    ``rows`` maps each pair to ``point_index`` (or -1 when not supplied).
-    Pairs whose point id is absent from ``points`` are skipped, like the
-    scalar ``points.get`` guard.
+    Keyframe-major, observation-dict-minor — the order the per-keyframe
+    resection gather walks.  Returns (landmarks, pixels, positions,
+    cos_yaw, sin_yaw) arrays.  Pairs whose point id is absent from
+    ``points`` are skipped.
     """
     landmarks = []
     pixels = []
     positions = []
     cos_yaw = []
     sin_yaw = []
-    rows = []
     for keyframe in keyframes:
         c = math.cos(keyframe.yaw_rad)
         s = math.sin(keyframe.yaw_rad)
@@ -122,7 +110,6 @@ def _pair_arrays(
             positions.append(keyframe.position_m)
             cos_yaw.append(c)
             sin_yaw.append(s)
-            rows.append(point_index[point_id] if point_index else -1)
     count = len(landmarks)
     return (
         np.asarray(landmarks, dtype=float).reshape(count, 3),
@@ -130,18 +117,16 @@ def _pair_arrays(
         np.asarray(positions, dtype=float).reshape(count, 3),
         np.asarray(cos_yaw, dtype=float),
         np.asarray(sin_yaw, dtype=float),
-        np.asarray(rows, dtype=np.int64),
     )
 
 
-def _collect_residuals_batch(
+def _collect_residuals(
     keyframes: List[Keyframe],
     points: Dict[int, MapPoint],
     camera: CameraModel,
 ) -> float:
-    from repro.slam import kernels
-
-    landmarks, pixels, positions, cos_yaw, sin_yaw, _ = _pair_arrays(
+    """RMS reprojection error over every pair in front of its camera."""
+    landmarks, pixels, positions, cos_yaw, sin_yaw = _pair_arrays(
         keyframes, points
     )
     cam = kernels.camera_points_posed(landmarks, positions, cos_yaw, sin_yaw)
@@ -156,80 +141,6 @@ def _collect_residuals_batch(
     return math.sqrt(total_sq / idx.size)
 
 
-def _collect_residuals(
-    keyframes: List[Keyframe],
-    points: Dict[int, MapPoint],
-    camera: CameraModel,
-    engine: str = "batch",
-) -> float:
-    if engine == "batch":
-        return _collect_residuals_batch(keyframes, points, camera)
-    total_sq = 0.0
-    count = 0
-    for keyframe in keyframes:
-        for point_id, pixel in keyframe.observations.items():
-            point = points.get(point_id)
-            if point is None:
-                continue
-            try:
-                residual = reprojection_residual(
-                    point.position_m,
-                    pixel,
-                    keyframe.position_m,
-                    keyframe.yaw_rad,
-                    camera,
-                )
-            except ValueError:
-                continue
-            total_sq += float(residual @ residual)
-            count += 1
-    if count == 0:
-        raise ValueError("no valid residuals in the BA problem")
-    return math.sqrt(total_sq / count)
-
-
-def _refine_landmark(
-    point: MapPoint,
-    keyframes: List[Keyframe],
-    camera: CameraModel,
-) -> int:
-    """One 3x3 Gauss-Newton step on a single landmark; returns ops."""
-    normal = np.zeros((3, 3))
-    rhs = np.zeros(3)
-    used = 0
-    for keyframe in keyframes:
-        pixel = keyframe.observations.get(point.point_id)
-        if pixel is None:
-            continue
-        try:
-            residual = reprojection_residual(
-                point.position_m, pixel, keyframe.position_m,
-                keyframe.yaw_rad, camera,
-            )
-        except ValueError:
-            continue
-        jacobian = _landmark_jacobian(
-            point.position_m, keyframe.position_m, keyframe.yaw_rad, camera
-        )
-        normal += jacobian.T @ jacobian
-        rhs -= jacobian.T @ residual
-        used += 1
-    if used < 2:
-        return 0  # under-constrained landmark; leave it alone
-    try:
-        delta = np.linalg.solve(normal + 1e-9 * np.eye(3), rhs)
-    except np.linalg.LinAlgError:
-        return 0
-    if not np.all(np.isfinite(delta)):
-        return 0  # near-singular solve: never write NaN into the map
-    # Trust region: single-step landmark moves are bounded.
-    norm = float(np.linalg.norm(delta))
-    if norm > 0.5:
-        delta *= 0.5 / norm
-    point.position_m = point.position_m + delta
-    return used * (2 * 3 * 3 * 2 + 60) + 27
-
-
 def _refine_landmarks_batch(
     point_list: List[MapPoint],
     keyframes: List[Keyframe],
@@ -237,15 +148,14 @@ def _refine_landmarks_batch(
 ) -> int:
     """One batched intersection pass over every landmark; returns ops.
 
-    Pairs are stacked (point-major, keyframe-minor) — the scalar
-    :func:`_refine_landmark` accumulation order — and the per-point 3x3
+    Pairs are stacked (point-major, keyframe-minor) and the per-point 3x3
     normal equations are built with ``np.add.at`` and solved as one batched
     ``np.linalg.solve``.  Landmark updates are mutually independent (poses
     are fixed during intersection), so updating all points from the
-    pass-start positions matches the scalar sequential sweep.
+    pass-start positions equals a sequential per-point sweep.  Landmarks
+    seen from fewer than two keyframes are left alone; a step is capped at
+    0.5 m.
     """
-    from repro.slam import kernels
-
     kf_cos = [math.cos(k.yaw_rad) for k in keyframes]
     kf_sin = [math.sin(k.yaw_rad) for k in keyframes]
     landmarks = []
@@ -282,8 +192,9 @@ def _refine_landmarks_batch(
     block_jtr = np.einsum("mia,mi->ma", jacobians, residuals)
     normals = np.zeros((point_count, 3, 3))
     rhs = np.zeros((point_count, 3))
-    # np.add.at accumulates in pair order: per point, keyframe-minor — the
-    # scalar loop's order; sums still round differently (allclose contract).
+    # np.add.at accumulates in pair order: per point, keyframe-minor — a
+    # per-point loop's order; sums still round differently (allclose
+    # contract).
     np.add.at(normals, rows_valid, block_jtj)
     np.add.at(rhs, rows_valid, -block_jtr)
     used = np.bincount(rows_valid, minlength=point_count)
@@ -297,7 +208,7 @@ def _refine_landmarks_batch(
     except np.linalg.LinAlgError:
         # Batched solve rejects the whole stack if any one system is
         # singular; fall back to per-point solves so only the singular
-        # landmarks are skipped (scalar semantics).
+        # landmarks are skipped.
         deltas = np.full((refine_rows.size, 3), np.nan)
         for slot in range(refine_rows.size):
             try:
@@ -318,46 +229,27 @@ def _refine_landmarks_batch(
     return operations
 
 
-def _landmark_jacobian(
-    landmark_m: np.ndarray,
-    position_m: np.ndarray,
-    yaw_rad: float,
-    camera: CameraModel,
-) -> np.ndarray:
-    """2x3 Jacobian of the pixel residual w.r.t. the landmark position."""
-    jacobian = np.zeros((2, 3))
-    base_point = camera_point(landmark_m, position_m, yaw_rad)
-    base = np.array(camera.project(base_point))
-    epsilon = 1e-6
-    for k in range(3):
-        perturbed = landmark_m.copy()
-        perturbed[k] += epsilon
-        point = camera_point(perturbed, position_m, yaw_rad)
-        projected = np.array(camera.project(point))
-        jacobian[:, k] = (projected - base) / epsilon
-    return jacobian
-
-
 def bundle_adjust(
     slam_map: SlamMap,
     keyframes: List[Keyframe],
     camera: CameraModel,
     iterations: int = 3,
     fix_first_pose: bool = True,
-    canonical_iterations: int = None,
-    engine: str = "batch",
+    canonical_iterations: Optional[int] = None,
 ) -> BaResult:
     """Resection-intersection BA over the given keyframes and their points.
 
-    ``engine="batch"`` runs the vectorized kernels (stacked residuals,
-    einsum normal equations, batched landmark solves); ``engine="scalar"``
-    is the retained per-observation oracle.  Validity decisions, skip masks,
-    used counts, iteration counts, and operation counts agree exactly;
-    accumulated floats (poses, landmark positions, RMS) agree to allclose —
-    the accumulation-order contract documented in :mod:`repro.slam.kernels`.
+    Resection refines each keyframe pose with two :func:`track_pose`
+    iterations against fixed structure (the first pose stays fixed when
+    ``fix_first_pose``); intersection refines every landmark at once with
+    :func:`_refine_landmarks_batch`.  Residuals are stacked and reduced
+    with ``einsum``/``np.add.at``, so poses, landmarks and RMS agree with
+    the per-observation oracle to ``allclose`` while skip decisions, used
+    counts and operation counts agree exactly (see
+    :mod:`repro.slam.kernels`).  ``canonical_iterations`` sets the LM
+    iteration count ``modeled_operations`` is priced at (default: local
+    BA's).
     """
-    if engine not in ("batch", "scalar"):
-        raise ValueError(f"unknown engine: {engine!r}")
     if not keyframes:
         raise ValueError("bundle adjustment needs at least one keyframe")
     if iterations <= 0:
@@ -365,7 +257,7 @@ def bundle_adjust(
     points = {
         p.point_id: p for p in slam_map.points_seen_by(keyframes)
     }
-    initial_rms = _collect_residuals(keyframes, points, camera, engine=engine)
+    initial_rms = _collect_residuals(keyframes, points, camera)
     operations = 0
     residual_count = sum(len(k.observations) for k in keyframes)
     for _ in range(iterations):
@@ -389,7 +281,6 @@ def bundle_adjust(
                     keyframe.yaw_rad,
                     camera,
                     max_iterations=2,
-                    engine=engine,
                 )
             except TrackingLostError:
                 continue
@@ -403,14 +294,10 @@ def bundle_adjust(
             )
             operations += result.operations
         # Intersection: refine each landmark against fixed poses.
-        if engine == "batch":
-            operations += _refine_landmarks_batch(
-                list(points.values()), keyframes, camera
-            )
-        else:
-            for point in points.values():
-                operations += _refine_landmark(point, keyframes, camera)
-    final_rms = _collect_residuals(keyframes, points, camera, engine=engine)
+        operations += _refine_landmarks_batch(
+            list(points.values()), keyframes, camera
+        )
+    final_rms = _collect_residuals(keyframes, points, camera)
     if not (math.isfinite(initial_rms) and math.isfinite(final_rms)):
         # Numerical sentinel: a NaN/Inf residual means the map is corrupted;
         # callers holding a checkpoint roll the map back.
@@ -439,7 +326,6 @@ def local_bundle_adjust(
     camera: CameraModel,
     window: int = LOCAL_BA_WINDOW,
     iterations: int = 2,
-    engine: str = "batch",
 ) -> BaResult:
     """Local BA over the most recent ``window`` keyframes."""
     keyframes = slam_map.recent_keyframes(window)
@@ -449,7 +335,6 @@ def local_bundle_adjust(
         camera,
         iterations=iterations,
         canonical_iterations=CANONICAL_LOCAL_BA_ITERATIONS,
-        engine=engine,
     )
 
 
@@ -457,7 +342,6 @@ def global_bundle_adjust(
     slam_map: SlamMap,
     camera: CameraModel,
     iterations: int = 3,
-    engine: str = "batch",
 ) -> BaResult:
     """Global BA over every keyframe (the loop-closure refinement)."""
     keyframes = [slam_map.keyframes[i] for i in sorted(slam_map.keyframes)]
@@ -467,5 +351,4 @@ def global_bundle_adjust(
         camera,
         iterations=iterations,
         canonical_iterations=CANONICAL_GLOBAL_BA_ITERATIONS,
-        engine=engine,
     )

@@ -15,6 +15,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.slam.dataset import Frame
+from repro.slam.kernels import bucketed_ranks, hamming_matrix
 
 #: ORB cost model: FAST test + orientation + 256 BRIEF comparisons per
 #: keypoint, plus pyramid overhead — rough operations per extracted feature.
@@ -42,9 +43,9 @@ class FeatureSet:
 class OrbExtractor:
     """Budgeted, grid-bucketed feature selection.
 
-    ``engine`` selects the bucketing implementation: ``"batch"`` (vectorized
-    argsort/lexsort round-robin) or ``"scalar"`` (the per-keypoint dict
-    oracle).  Both return the identical keep set.
+    Over budget, keypoints are taken round-robin across grid cells (one per
+    cell per sweep, cells ascending), computed with one stable argsort and
+    one lexsort over the whole frame.
     """
 
     max_features: int = 400
@@ -52,15 +53,12 @@ class OrbExtractor:
     grid_rows: int = 6
     image_width: float = 752.0
     image_height: float = 480.0
-    engine: str = "batch"
 
     def __post_init__(self) -> None:
         if self.max_features <= 0:
             raise ValueError(f"max_features must be positive: {self.max_features}")
         if self.grid_cols <= 0 or self.grid_rows <= 0:
             raise ValueError("grid dimensions must be positive")
-        if self.engine not in ("batch", "scalar"):
-            raise ValueError(f"unknown engine: {self.engine!r}")
 
     def extract(self, frame: Frame) -> FeatureSet:
         """Select up to ``max_features`` keypoints with spatial spread."""
@@ -87,11 +85,18 @@ class OrbExtractor:
         )
 
     def _bucketed_selection(self, keypoints_px: np.ndarray) -> np.ndarray:
-        """Round-robin across grid cells so features cover the image."""
+        """Round-robin across grid cells so features cover the image.
+
+        The walk visits buckets depth 0 across ascending cells, then depth
+        1, ... — i.e. keypoints ordered lexicographically by (within-cell
+        rank, cell).  ``lexsort`` yields that order, so the first
+        ``max_features`` entries are the keep set.
+        """
         cells = self._grid_cells(keypoints_px)
-        if self.engine == "batch":
-            return self._bucketed_selection_batch(cells)
-        return self._bucketed_selection_scalar(cells)
+        order, depth = bucketed_ranks(cells)
+        round_robin = np.lexsort((cells[order], depth))
+        selected = order[round_robin[: self.max_features]]
+        return np.sort(selected).astype(int)
 
     def _grid_cells(self, keypoints_px: np.ndarray) -> np.ndarray:
         cols = np.clip(
@@ -106,41 +111,6 @@ class OrbExtractor:
         )
         return rows * self.grid_cols + cols
 
-    def _bucketed_selection_batch(self, cells: np.ndarray) -> np.ndarray:
-        """Vectorized round-robin: rank keypoints (depth, cell) and cut.
-
-        The scalar walk visits buckets depth 0 across ascending cells, then
-        depth 1, ... — i.e. keypoints ordered lexicographically by
-        (within-cell rank, cell).  ``lexsort`` reproduces that order, so the
-        first ``max_features`` entries are the identical keep set.
-        """
-        from repro.slam.kernels import bucketed_ranks
-
-        order, depth = bucketed_ranks(cells)
-        round_robin = np.lexsort((cells[order], depth))
-        selected = order[round_robin[: self.max_features]]
-        return np.sort(selected).astype(int)
-
-    def _bucketed_selection_scalar(self, cells: np.ndarray) -> np.ndarray:
-        order = np.argsort(cells, kind="stable")
-        buckets = {}
-        for idx in order:
-            buckets.setdefault(int(cells[idx]), []).append(int(idx))
-        selected = []
-        depth = 0
-        while len(selected) < self.max_features:
-            progressed = False
-            for cell_indices in buckets.values():
-                if depth < len(cell_indices):
-                    selected.append(cell_indices[depth])
-                    progressed = True
-                    if len(selected) >= self.max_features:
-                        break
-            if not progressed:
-                break
-            depth += 1
-        return np.asarray(sorted(selected), dtype=int)
-
 
 def hamming_distance(a: np.ndarray, b: np.ndarray) -> int:
     """Hamming distance between two 32-byte ORB descriptors."""
@@ -150,25 +120,17 @@ def hamming_distance(a: np.ndarray, b: np.ndarray) -> int:
 
 
 def hamming_distance_matrix(
-    descriptors_a: np.ndarray, descriptors_b: np.ndarray, engine: str = "batch"
+    descriptors_a: np.ndarray, descriptors_b: np.ndarray
 ) -> Tuple[np.ndarray, int]:
     """All-pairs Hamming distances plus the operation count.
 
     Returns (distances [A, B] uint16, ops).  This is the brute-force matcher
-    kernel; FPGA front ends pipeline exactly this computation.  The default
-    ``"batch"`` engine uses the packed popcount-LUT kernel; ``"scalar"``
-    keeps the unpackbits oracle.  Both are bit-for-bit identical.
+    kernel; FPGA front ends pipeline exactly this computation.  Distances
+    come from the packed popcount-LUT kernel
+    (:func:`repro.slam.kernels.hamming_matrix`).
     """
     if descriptors_a.ndim != 2 or descriptors_b.ndim != 2:
         raise ValueError("descriptor arrays must be 2-D")
-    if engine == "batch":
-        from repro.slam.kernels import hamming_matrix
-
-        distances = hamming_matrix(descriptors_a, descriptors_b)
-    elif engine == "scalar":
-        xor = np.bitwise_xor(descriptors_a[:, None, :], descriptors_b[None, :, :])
-        distances = np.unpackbits(xor, axis=2).sum(axis=2).astype(np.uint16)
-    else:
-        raise ValueError(f"unknown engine: {engine!r}")
+    distances = hamming_matrix(descriptors_a, descriptors_b)
     operations = int(descriptors_a.shape[0] * descriptors_b.shape[0] * 256)
     return distances, operations

@@ -1,30 +1,33 @@
-"""Vectorized SLAM numeric kernels (the batch engine of the perception stack).
+"""Vectorized SLAM numeric kernels: the one engine of the perception stack.
 
-The scalar SLAM modules (:mod:`features`, :mod:`matching`, :mod:`tracking`,
-:mod:`bundle_adjustment`) loop per descriptor pair or per observation; these
-kernels evaluate the same arithmetic over stacked NumPy arrays.  They are the
-perception-side analogue of :mod:`repro.core.batch` and follow the same
-equivalence discipline:
+:mod:`features`, :mod:`matching`, :mod:`tracking` and
+:mod:`bundle_adjustment` evaluate their arithmetic through these kernels,
+over stacked NumPy arrays.  Each entry point is tested against a scalar
+oracle that loops per descriptor pair or per observation
+(``tests/oracles/slam.py``), under the same equivalence discipline as
+:mod:`repro.core.batch`:
 
 * **Integer outputs are bit-for-bit.**  Hamming distances use a 256-entry
-  popcount LUT over the packed uint8 XOR — value-identical to the scalar
-  ``np.unpackbits`` reduction, so matcher decisions (ratio test, cross check,
-  greedy projection matching) cannot diverge.
+  popcount LUT over the packed uint8 XOR — value-identical to an
+  ``np.unpackbits`` reduction, so matcher decisions (ratio test, cross
+  check, greedy projection matching) cannot diverge.
 
 * **Per-element float outputs are bit-for-bit.**  Camera-frame transforms,
   projections, residuals, and numeric Jacobians are elementwise float64
-  expressions written in the same operation order as the scalar code
-  (``c*dx + s*dy`` etc.); NumPy evaluates them without FMA contraction, so
-  each element equals the scalar value exactly.  Validity masks (behind-camera
-  tests, ``z > 1e-6``) therefore agree exactly too.
+  expressions written in the same operation order as the scalar
+  :func:`repro.slam.tracking.camera_point` and
+  :meth:`CameraModel.project` (``c*dx + s*dy`` etc.); NumPy evaluates
+  them without FMA contraction, so each element equals the scalar value
+  exactly.  Validity masks (behind-camera tests, ``z > 1e-6``) therefore
+  agree exactly too.
 
 * **Reductions are allclose, not bitwise.**  Normal-equation accumulation
   (``einsum`` / ``np.add.at``) pairs terms in a fixed, documented order —
   observation order for pose systems, (point-major, keyframe-minor) for
   landmark systems — but floating-point summation order still differs from
-  the scalar one-at-a-time loop, so accumulated sums match to ~1e-12 relative,
-  not bitwise.  Downstream *decisions* (skip masks, used counts, raised
-  errors) only depend on the bit-exact per-element values.
+  a one-at-a-time loop, so accumulated sums match the oracle to ~1e-12
+  relative, not bitwise.  Downstream *decisions* (skip masks, used counts,
+  raised errors) only depend on the bit-exact per-element values.
 """
 
 from __future__ import annotations
@@ -39,14 +42,15 @@ from repro.slam.dataset import CameraModel
 
 #: Popcount of every byte value; ``_POPCOUNT[a ^ b]`` summed over the 32
 #: descriptor bytes is the Hamming distance.  Built with unpackbits so the
-#: table is definitionally consistent with the scalar reduction.
+#: table is definitionally consistent with
+#: :func:`repro.slam.features.hamming_distance`.
 _POPCOUNT = (
     np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
     .sum(axis=1)
     .astype(np.uint8)
 )
 
-#: Numeric-differentiation step shared by the scalar Jacobians.
+#: Numeric-differentiation step of the pose and landmark Jacobians.
 JACOBIAN_EPSILON = 1e-6
 
 #: Behind-camera threshold of :meth:`CameraModel.project`.
@@ -57,7 +61,7 @@ MIN_CAMERA_Z = 1e-6
 def hamming_matrix(descriptors_a: np.ndarray, descriptors_b: np.ndarray) -> np.ndarray:
     """All-pairs Hamming distances, (A, B) uint16, via the popcount LUT.
 
-    Bit-for-bit equal to the scalar ``np.unpackbits(xor).sum()`` kernel: both
+    Bit-for-bit equal to an ``np.unpackbits(xor).sum()`` reduction: both
     compute exact bit counts <= 256, so the uint16 casts agree.
     """
     xor = np.bitwise_xor(descriptors_a[:, None, :], descriptors_b[None, :, :])

@@ -14,6 +14,7 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.slam.dataset import CameraModel
+from repro.slam.kernels import pose_blocks
 
 HUBER_DELTA_PX = 5.0
 
@@ -39,45 +40,6 @@ def camera_point(
     return np.array([-by, -bz, bx])
 
 
-def reprojection_residual(
-    landmark_m: np.ndarray,
-    pixel: Tuple[float, float],
-    position_m: np.ndarray,
-    yaw_rad: float,
-    camera: CameraModel,
-) -> np.ndarray:
-    """(predicted - observed) pixel residual; raises if behind camera."""
-    point = camera_point(landmark_m, position_m, yaw_rad)
-    u, v = camera.project(point)
-    return np.array([u - pixel[0], v - pixel[1]])
-
-
-def _pose_jacobian(
-    landmark_m: np.ndarray,
-    position_m: np.ndarray,
-    yaw_rad: float,
-    camera: CameraModel,
-) -> np.ndarray:
-    """2x4 Jacobian of the pixel residual w.r.t. [x, y, z, yaw] (numeric)."""
-    jacobian = np.zeros((2, 4))
-    base = reprojection_residual(
-        landmark_m, (0.0, 0.0), position_m, yaw_rad, camera
-    )
-    epsilon = 1e-6
-    for k in range(3):
-        perturbed = position_m.copy()
-        perturbed[k] += epsilon
-        res = reprojection_residual(
-            landmark_m, (0.0, 0.0), perturbed, yaw_rad, camera
-        )
-        jacobian[:, k] = (res - base) / epsilon
-    res = reprojection_residual(
-        landmark_m, (0.0, 0.0), position_m, yaw_rad + epsilon, camera
-    )
-    jacobian[:, 3] = (res - base) / epsilon
-    return jacobian
-
-
 @dataclass(frozen=True)
 class TrackingResult:
     """Refined pose plus optimization diagnostics."""
@@ -98,20 +60,25 @@ def track_pose(
     camera: CameraModel,
     max_iterations: int = 8,
     min_correspondences: int = 8,
-    engine: str = "batch",
 ) -> TrackingResult:
     """Gauss-Newton motion-only pose refinement with Huber weighting.
 
-    ``engine="batch"`` stacks all correspondences per iteration and builds
-    the normal equations with einsum; ``engine="scalar"`` is the retained
-    per-observation oracle.  Per-correspondence values (residuals, validity,
-    Jacobians) are bit-identical between engines; the accumulated normal
-    equations differ only in float summation order, so poses agree to
-    ~1e-12 while iteration counts, inlier counts, raised errors, and
-    operation counts agree exactly (see :mod:`repro.slam.kernels`).
+    Each iteration stacks every correspondence: residuals, validity (the
+    camera-frame ``z > 1e-6`` test) and numeric 2x4 Jacobians come from
+    :func:`repro.slam.kernels.pose_blocks`, and the normal equations are
+    one ``einsum`` over the observation axis.  Points behind the camera at
+    the current iterate are skipped; a perturbed projection behind the
+    camera raises ``ValueError``.  Raises :class:`TrackingLostError` when
+    fewer than ``min_correspondences`` are usable or the system is singular,
+    and ``ValueError`` when ``max_iterations`` or ``min_correspondences`` is
+    not positive.
     """
-    if engine not in ("batch", "scalar"):
-        raise ValueError(f"unknown engine: {engine!r}")
+    if max_iterations <= 0:
+        raise ValueError(f"max_iterations must be positive, got {max_iterations}")
+    if min_correspondences <= 0:
+        raise ValueError(
+            f"min_correspondences must be positive, got {min_correspondences}"
+        )
     if len(landmarks_m) != len(pixels):
         raise ValueError("landmarks and pixels must align")
     if len(landmarks_m) < min_correspondences:
@@ -119,78 +86,6 @@ def track_pose(
             f"only {len(landmarks_m)} correspondences; "
             f"need {min_correspondences}"
         )
-    if engine == "batch":
-        return _track_pose_batch(
-            landmarks_m,
-            pixels,
-            initial_position_m,
-            initial_yaw_rad,
-            camera,
-            max_iterations,
-            min_correspondences,
-        )
-    position = np.asarray(initial_position_m, dtype=float).copy()
-    yaw = float(initial_yaw_rad)
-    operations = 0
-    rms = float("inf")
-    iterations_run = 0
-    for iteration in range(max_iterations):
-        normal = np.zeros((4, 4))
-        rhs = np.zeros(4)
-        total_sq = 0.0
-        used = 0
-        for landmark, pixel in zip(landmarks_m, pixels):
-            try:
-                residual = reprojection_residual(
-                    landmark, pixel, position, yaw, camera
-                )
-            except ValueError:
-                continue  # behind camera at this iterate
-            error = float(np.linalg.norm(residual))
-            weight = 1.0 if error <= HUBER_DELTA_PX else HUBER_DELTA_PX / error
-            jacobian = _pose_jacobian(landmark, position, yaw, camera)
-            normal += weight * jacobian.T @ jacobian
-            rhs -= weight * jacobian.T @ residual
-            total_sq += weight * error * error
-            used += 1
-            operations += 2 * 4 * 4 * 2 + 5 * 16  # J^T J + J^T r + projections
-        if used < min_correspondences:
-            raise TrackingLostError(
-                f"only {used} usable correspondences at iteration {iteration}"
-            )
-        try:
-            delta = np.linalg.solve(normal + 1e-9 * np.eye(4), rhs)
-        except np.linalg.LinAlgError as error:
-            raise TrackingLostError(f"singular normal equations: {error}")
-        operations += 4**3
-        position += delta[0:3]
-        yaw += float(delta[3])
-        rms = math.sqrt(total_sq / used)
-        iterations_run = iteration + 1
-        if float(np.linalg.norm(delta)) < 1e-6:
-            break
-    return TrackingResult(
-        position_m=position,
-        yaw_rad=yaw,
-        inliers=used,
-        final_rms_px=rms,
-        iterations=iterations_run,
-        operations=operations,
-    )
-
-
-def _track_pose_batch(
-    landmarks_m: List[np.ndarray],
-    pixels: List[Tuple[float, float]],
-    initial_position_m: np.ndarray,
-    initial_yaw_rad: float,
-    camera: CameraModel,
-    max_iterations: int,
-    min_correspondences: int,
-) -> TrackingResult:
-    """Batch Gauss-Newton inner loop (see :func:`track_pose`)."""
-    from repro.slam.kernels import pose_blocks
-
     landmarks = np.asarray(landmarks_m, dtype=float).reshape(len(landmarks_m), 3)
     pixel_array = np.asarray(pixels, dtype=float).reshape(len(pixels), 2)
     position = np.asarray(initial_position_m, dtype=float).copy()
@@ -210,17 +105,17 @@ def _track_pose_batch(
             )
         errors = np.sqrt(np.add.reduce(residuals * residuals, axis=1))
         weights = np.ones(used)
-        # ~(e <= delta), not (e > delta): a NaN error must take the scalar
-        # else-branch (NaN weight), not silently weight 1.0.
+        # ~(e <= delta), not (e > delta): a NaN error must get a NaN
+        # weight, not silently weight 1.0.
         heavy = ~(errors <= HUBER_DELTA_PX)
         weights[heavy] = HUBER_DELTA_PX / errors[heavy]
-        # Accumulation order: einsum reduces over the observation axis; the
-        # pairing differs from the scalar one-at-a-time loop, so the normal
-        # equations agree to allclose, not bitwise.
+        # einsum reduces over the observation axis; its pairing differs
+        # from a one-at-a-time running sum, so the normal equations agree
+        # with the scalar oracle to allclose, not bitwise.
         normal = np.einsum("n,nia,nib->ab", weights, jacobians, jacobians)
         rhs = -np.einsum("n,nia,ni->a", weights, jacobians, residuals)
         total_sq = float(np.einsum("n,n->", weights, errors * errors))
-        operations += used * (2 * 4 * 4 * 2 + 5 * 16)
+        operations += used * (2 * 4 * 4 * 2 + 5 * 16)  # J^T J + J^T r + projections
         try:
             delta = np.linalg.solve(normal + 1e-9 * np.eye(4), rhs)
         except np.linalg.LinAlgError as error:

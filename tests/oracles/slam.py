@@ -1,0 +1,465 @@
+"""Scalar SLAM oracles: one keypoint, descriptor pair or observation at a time.
+
+Every function here mirrors a public entry point of :mod:`repro.slam` with
+the same signature and return type.  The vectorized versions in ``src/``
+must agree with these bit for bit on integer decisions, operation counts,
+raised errors and per-element floats, and to ``allclose`` on accumulated
+floats (the contract of :mod:`repro.slam.kernels`).
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
+
+from repro.slam import features as slam_features
+from repro.slam.bundle_adjustment import (
+    CANONICAL_GLOBAL_BA_ITERATIONS,
+    CANONICAL_LOCAL_BA_ITERATIONS,
+    BaResult,
+    canonical_ba_operations,
+)
+from repro.slam.dataset import CameraModel
+from repro.slam.features import FeatureSet, hamming_distance
+from repro.slam.map import Keyframe, MapPoint, SlamMap
+from repro.slam.matching import (
+    MAX_MATCH_DISTANCE,
+    RATIO_TEST,
+    Match,
+    MatchResult,
+)
+from repro.slam.tracking import (
+    HUBER_DELTA_PX,
+    TrackingLostError,
+    TrackingResult,
+    camera_point,
+)
+
+
+class OrbExtractor(slam_features.OrbExtractor):
+    """:class:`repro.slam.features.OrbExtractor` with the dict round-robin."""
+
+    def _bucketed_selection(self, keypoints_px: np.ndarray) -> np.ndarray:
+        cells = self._grid_cells(keypoints_px)
+        order = np.argsort(cells, kind="stable")
+        buckets: Dict[int, List[int]] = {}
+        for idx in order:
+            buckets.setdefault(int(cells[idx]), []).append(int(idx))
+        selected: List[int] = []
+        depth = 0
+        while len(selected) < self.max_features:
+            progressed = False
+            for cell_indices in buckets.values():
+                if depth < len(cell_indices):
+                    selected.append(cell_indices[depth])
+                    progressed = True
+                    if len(selected) >= self.max_features:
+                        break
+            if not progressed:
+                break
+            depth += 1
+        return np.asarray(sorted(selected), dtype=int)
+
+
+def hamming_distance_matrix(
+    descriptors_a: np.ndarray, descriptors_b: np.ndarray
+) -> Tuple[np.ndarray, int]:
+    """All-pairs Hamming distances by ``np.unpackbits`` of the XOR."""
+    if descriptors_a.ndim != 2 or descriptors_b.ndim != 2:
+        raise ValueError("descriptor arrays must be 2-D")
+    xor = np.bitwise_xor(descriptors_a[:, None, :], descriptors_b[None, :, :])
+    distances = np.unpackbits(xor, axis=2).sum(axis=2).astype(np.uint16)
+    operations = int(descriptors_a.shape[0] * descriptors_b.shape[0] * 256)
+    return distances, operations
+
+
+def match_features(a: FeatureSet, b: FeatureSet) -> MatchResult:
+    """Ratio and cross-checked matching, one row of the matrix at a time."""
+    if a.count == 0 or b.count == 0:
+        return MatchResult(matches=[], operations=0)
+    distances, operations = hamming_distance_matrix(a.descriptors, b.descriptors)
+    best_b = np.argmin(distances, axis=1)
+    matches = []
+    for index_a, index_b in enumerate(best_b):
+        row = distances[index_a]
+        best = int(row[index_b])
+        if best > MAX_MATCH_DISTANCE:
+            continue
+        # Ratio test against the second-best candidate.
+        if row.size > 1:
+            second = int(np.partition(row, 1)[1])
+            if second > 0 and best > RATIO_TEST * second:
+                continue
+        # Mutual consistency: b's best must point back to a.
+        if int(np.argmin(distances[:, index_b])) != index_a:
+            continue
+        matches.append(Match(index_a=index_a, index_b=int(index_b), distance=best))
+    return MatchResult(matches=matches, operations=operations)
+
+
+def match_against_map(
+    features: FeatureSet,
+    map_descriptors: np.ndarray,
+    map_landmark_ids: np.ndarray,
+) -> MatchResult:
+    """Best-map-point matching, one feature at a time."""
+    if map_descriptors.shape[0] != map_landmark_ids.shape[0]:
+        raise ValueError("map descriptors and ids must align")
+    if features.count == 0 or map_descriptors.shape[0] == 0:
+        return MatchResult(matches=[], operations=0)
+    distances, operations = hamming_distance_matrix(
+        features.descriptors, map_descriptors
+    )
+    best_map = np.argmin(distances, axis=1)
+    matches = []
+    for index_f, index_m in enumerate(best_map):
+        best = int(distances[index_f, index_m])
+        if best > MAX_MATCH_DISTANCE:
+            continue
+        matches.append(
+            Match(index_a=index_f, index_b=int(map_landmark_ids[index_m]),
+                  distance=best)
+        )
+    return MatchResult(matches=matches, operations=operations)
+
+
+def match_by_projection(
+    features: FeatureSet,
+    map_points,
+    pose,
+    camera,
+    radius_px: float = 18.0,
+) -> MatchResult:
+    """Projection-guided matching, one map point at a time."""
+    if radius_px <= 0:
+        raise ValueError(f"search radius must be positive, got {radius_px}")
+    position, yaw = pose
+    matches: List[Match] = []
+    operations = 0
+    if features.count == 0:
+        return MatchResult(matches=[], operations=0)
+    keypoints = features.keypoints_px
+    taken = set()
+    for point in map_points:
+        cam = camera_point(point.position_m, position, yaw)
+        if cam[2] < 0.2:
+            continue
+        u, v = camera.project(cam)
+        operations += 20
+        if not camera.in_view(u, v):
+            continue
+        deltas = keypoints - np.array([u, v])
+        nearby = np.where((np.abs(deltas[:, 0]) <= radius_px)
+                          & (np.abs(deltas[:, 1]) <= radius_px))[0]
+        operations += 2 * keypoints.shape[0]
+        best_index = -1
+        best_distance = MAX_MATCH_DISTANCE + 1
+        for index in nearby:
+            if int(index) in taken:
+                continue
+            distance = hamming_distance(
+                features.descriptors[index], point.descriptor
+            )
+            operations += 256
+            if distance < best_distance:
+                best_distance = distance
+                best_index = int(index)
+        if best_index >= 0 and best_distance <= MAX_MATCH_DISTANCE:
+            taken.add(best_index)
+            matches.append(
+                Match(index_a=best_index, index_b=point.point_id,
+                      distance=best_distance)
+            )
+    return MatchResult(matches=matches, operations=operations)
+
+
+def reprojection_residual(
+    landmark_m: np.ndarray,
+    pixel: Tuple[float, float],
+    position_m: np.ndarray,
+    yaw_rad: float,
+    camera: CameraModel,
+) -> np.ndarray:
+    """(predicted - observed) pixel residual; raises if behind camera."""
+    point = camera_point(landmark_m, position_m, yaw_rad)
+    u, v = camera.project(point)
+    return np.array([u - pixel[0], v - pixel[1]])
+
+
+def _pose_jacobian(
+    landmark_m: np.ndarray,
+    position_m: np.ndarray,
+    yaw_rad: float,
+    camera: CameraModel,
+) -> np.ndarray:
+    """2x4 Jacobian of the pixel residual w.r.t. [x, y, z, yaw] (numeric)."""
+    jacobian = np.zeros((2, 4))
+    base = reprojection_residual(
+        landmark_m, (0.0, 0.0), position_m, yaw_rad, camera
+    )
+    epsilon = 1e-6
+    for k in range(3):
+        perturbed = position_m.copy()
+        perturbed[k] += epsilon
+        res = reprojection_residual(
+            landmark_m, (0.0, 0.0), perturbed, yaw_rad, camera
+        )
+        jacobian[:, k] = (res - base) / epsilon
+    res = reprojection_residual(
+        landmark_m, (0.0, 0.0), position_m, yaw_rad + epsilon, camera
+    )
+    jacobian[:, 3] = (res - base) / epsilon
+    return jacobian
+
+
+def track_pose(
+    landmarks_m: List[np.ndarray],
+    pixels: List[Tuple[float, float]],
+    initial_position_m: np.ndarray,
+    initial_yaw_rad: float,
+    camera: CameraModel,
+    max_iterations: int = 8,
+    min_correspondences: int = 8,
+) -> TrackingResult:
+    """Gauss-Newton pose refinement, accumulating one observation at a time."""
+    if len(landmarks_m) != len(pixels):
+        raise ValueError("landmarks and pixels must align")
+    if len(landmarks_m) < min_correspondences:
+        raise TrackingLostError(
+            f"only {len(landmarks_m)} correspondences; "
+            f"need {min_correspondences}"
+        )
+    position = np.asarray(initial_position_m, dtype=float).copy()
+    yaw = float(initial_yaw_rad)
+    operations = 0
+    rms = float("inf")
+    iterations_run = 0
+    for iteration in range(max_iterations):
+        normal = np.zeros((4, 4))
+        rhs = np.zeros(4)
+        total_sq = 0.0
+        used = 0
+        for landmark, pixel in zip(landmarks_m, pixels):
+            try:
+                residual = reprojection_residual(
+                    landmark, pixel, position, yaw, camera
+                )
+            except ValueError:
+                continue  # behind camera at this iterate
+            error = float(np.linalg.norm(residual))
+            weight = 1.0 if error <= HUBER_DELTA_PX else HUBER_DELTA_PX / error
+            jacobian = _pose_jacobian(landmark, position, yaw, camera)
+            normal += weight * jacobian.T @ jacobian
+            rhs -= weight * jacobian.T @ residual
+            total_sq += weight * error * error
+            used += 1
+            operations += 2 * 4 * 4 * 2 + 5 * 16  # J^T J + J^T r + projections
+        if used < min_correspondences:
+            raise TrackingLostError(
+                f"only {used} usable correspondences at iteration {iteration}"
+            )
+        try:
+            delta = np.linalg.solve(normal + 1e-9 * np.eye(4), rhs)
+        except np.linalg.LinAlgError as error:
+            raise TrackingLostError(f"singular normal equations: {error}")
+        operations += 4**3
+        position += delta[0:3]
+        yaw += float(delta[3])
+        rms = math.sqrt(total_sq / used)
+        iterations_run = iteration + 1
+        if float(np.linalg.norm(delta)) < 1e-6:
+            break
+    return TrackingResult(
+        position_m=position,
+        yaw_rad=yaw,
+        inliers=used,
+        final_rms_px=rms,
+        iterations=iterations_run,
+        operations=operations,
+    )
+
+
+def _collect_residuals(
+    keyframes: List[Keyframe],
+    points: Dict[int, MapPoint],
+    camera: CameraModel,
+) -> float:
+    total_sq = 0.0
+    count = 0
+    for keyframe in keyframes:
+        for point_id, pixel in keyframe.observations.items():
+            point = points.get(point_id)
+            if point is None:
+                continue
+            try:
+                residual = reprojection_residual(
+                    point.position_m,
+                    pixel,
+                    keyframe.position_m,
+                    keyframe.yaw_rad,
+                    camera,
+                )
+            except ValueError:
+                continue
+            total_sq += float(residual @ residual)
+            count += 1
+    if count == 0:
+        raise ValueError("no valid residuals in the BA problem")
+    return math.sqrt(total_sq / count)
+
+
+def _landmark_jacobian(
+    landmark_m: np.ndarray,
+    position_m: np.ndarray,
+    yaw_rad: float,
+    camera: CameraModel,
+) -> np.ndarray:
+    """2x3 Jacobian of the pixel residual w.r.t. the landmark position."""
+    jacobian = np.zeros((2, 3))
+    base_point = camera_point(landmark_m, position_m, yaw_rad)
+    base = np.array(camera.project(base_point))
+    epsilon = 1e-6
+    for k in range(3):
+        perturbed = landmark_m.copy()
+        perturbed[k] += epsilon
+        point = camera_point(perturbed, position_m, yaw_rad)
+        projected = np.array(camera.project(point))
+        jacobian[:, k] = (projected - base) / epsilon
+    return jacobian
+
+
+def _refine_landmark(
+    point: MapPoint,
+    keyframes: List[Keyframe],
+    camera: CameraModel,
+) -> int:
+    """One 3x3 Gauss-Newton step on a single landmark; returns ops."""
+    normal = np.zeros((3, 3))
+    rhs = np.zeros(3)
+    used = 0
+    for keyframe in keyframes:
+        pixel = keyframe.observations.get(point.point_id)
+        if pixel is None:
+            continue
+        try:
+            residual = reprojection_residual(
+                point.position_m, pixel, keyframe.position_m,
+                keyframe.yaw_rad, camera,
+            )
+        except ValueError:
+            continue
+        jacobian = _landmark_jacobian(
+            point.position_m, keyframe.position_m, keyframe.yaw_rad, camera
+        )
+        normal += jacobian.T @ jacobian
+        rhs -= jacobian.T @ residual
+        used += 1
+    if used < 2:
+        return 0  # under-constrained landmark; leave it alone
+    try:
+        delta = np.linalg.solve(normal + 1e-9 * np.eye(3), rhs)
+    except np.linalg.LinAlgError:
+        return 0
+    if not np.all(np.isfinite(delta)):
+        return 0  # near-singular solve: never write NaN into the map
+    # Trust region: single-step landmark moves are bounded.
+    norm = float(np.linalg.norm(delta))
+    if norm > 0.5:
+        delta *= 0.5 / norm
+    point.position_m = point.position_m + delta
+    return used * (2 * 3 * 3 * 2 + 60) + 27
+
+
+def bundle_adjust(
+    slam_map: SlamMap,
+    keyframes: List[Keyframe],
+    camera: CameraModel,
+    iterations: int = 3,
+    fix_first_pose: bool = True,
+    canonical_iterations: Optional[int] = None,
+) -> BaResult:
+    """Resection-intersection BA with per-observation sums and solves."""
+    if not keyframes:
+        raise ValueError("bundle adjustment needs at least one keyframe")
+    if iterations <= 0:
+        raise ValueError(f"iterations must be positive, got {iterations}")
+    points = {
+        p.point_id: p for p in slam_map.points_seen_by(keyframes)
+    }
+    initial_rms = _collect_residuals(keyframes, points, camera)
+    operations = 0
+    residual_count = sum(len(k.observations) for k in keyframes)
+    for _ in range(iterations):
+        # Resection: refine each keyframe pose against fixed structure.
+        for index, keyframe in enumerate(keyframes):
+            if fix_first_pose and index == 0:
+                continue
+            landmarks = []
+            pixels = []
+            for point_id, pixel in keyframe.observations.items():
+                point = points.get(point_id)
+                if point is None:
+                    continue
+                landmarks.append(point.position_m)
+                pixels.append(pixel)
+            try:
+                result = track_pose(
+                    landmarks,
+                    pixels,
+                    keyframe.position_m,
+                    keyframe.yaw_rad,
+                    camera,
+                    max_iterations=2,
+                )
+            except TrackingLostError:
+                continue
+            if not (
+                np.all(np.isfinite(result.position_m))
+                and math.isfinite(result.yaw_rad)
+            ):
+                continue  # keep the previous (finite) pose
+            keyframe.set_pose_params(
+                np.concatenate([result.position_m, [result.yaw_rad]])
+            )
+            operations += result.operations
+        # Intersection: refine each landmark against fixed poses.
+        for point in points.values():
+            operations += _refine_landmark(point, keyframes, camera)
+    final_rms = _collect_residuals(keyframes, points, camera)
+    if not (math.isfinite(initial_rms) and math.isfinite(final_rms)):
+        raise FloatingPointError("bundle adjustment produced non-finite residuals")
+    return BaResult(
+        initial_rms_px=initial_rms,
+        final_rms_px=final_rms,
+        iterations=iterations,
+        keyframes=len(keyframes),
+        points=len(points),
+        residuals=residual_count,
+        operations=operations,
+        modeled_operations=canonical_ba_operations(
+            len(keyframes),
+            len(points),
+            residual_count,
+            canonical_iterations
+            if canonical_iterations is not None
+            else CANONICAL_LOCAL_BA_ITERATIONS,
+        ),
+    )
+
+
+def global_bundle_adjust(
+    slam_map: SlamMap,
+    camera: CameraModel,
+    iterations: int = 3,
+) -> BaResult:
+    """Global BA over every keyframe (the loop-closure refinement)."""
+    keyframes = [slam_map.keyframes[i] for i in sorted(slam_map.keyframes)]
+    return bundle_adjust(
+        slam_map,
+        keyframes,
+        camera,
+        iterations=iterations,
+        canonical_iterations=CANONICAL_GLOBAL_BA_ITERATIONS,
+    )

@@ -1,7 +1,10 @@
 """API-surface tests: every public export is importable and the documented
 entry points behave as the README promises."""
 
+import dataclasses
 import importlib
+import inspect
+import pkgutil
 
 import numpy as np
 import pytest
@@ -49,6 +52,53 @@ class TestExports:
     def test_packages_documented(self, package):
         module = importlib.import_module(package)
         assert module.__doc__, f"{package} lacks a module docstring"
+
+
+def _parameter_names(obj):
+    """(qualified name, parameter names) of a public callable or class.
+
+    A class contributes its dataclass fields and the signature of
+    ``__init__`` and of every public method.
+    """
+    if inspect.isclass(obj):
+        if dataclasses.is_dataclass(obj):
+            yield obj.__qualname__, [f.name for f in dataclasses.fields(obj)]
+        for name, member in vars(obj).items():
+            if name.startswith("_") and name != "__init__":
+                continue
+            if isinstance(member, (staticmethod, classmethod)):
+                member = member.__func__
+            if inspect.isfunction(member):
+                yield (f"{obj.__qualname__}.{name}",
+                       list(inspect.signature(member).parameters))
+    elif inspect.isfunction(obj):
+        yield obj.__qualname__, list(inspect.signature(obj).parameters)
+
+
+class TestOneEnginePerComputation:
+    """Each computation in these packages has one implementation, so no
+    public entry point selects between engines."""
+
+    @pytest.mark.parametrize(
+        "package", ["repro.slam", "repro.platforms", "repro.core"]
+    )
+    def test_no_engine_parameter(self, package):
+        root = importlib.import_module(package)
+        modules = [root] + [
+            importlib.import_module(info.name)
+            for info in pkgutil.walk_packages(root.__path__, package + ".")
+        ]
+        offenders = []
+        for module in modules:
+            for name, obj in vars(module).items():
+                if name.startswith("_"):
+                    continue
+                if getattr(obj, "__module__", None) != module.__name__:
+                    continue  # re-exported; checked where it is defined
+                for qualname, parameters in _parameter_names(obj):
+                    if "engine" in parameters:
+                        offenders.append(f"{module.__name__}.{qualname}")
+        assert offenders == []
 
 
 class TestReadmeQuickstart:

@@ -28,6 +28,7 @@ from repro.core.explorer import (
     sweep_all_wheelbases,
     sweep_wheelbase,
 )
+from tests.oracles import sweep as oracle
 
 
 def _random_designs(count: int, seed: int):
@@ -116,8 +117,8 @@ class TestSweepEngineEquality:
 
     @pytest.mark.parametrize("wheelbase_mm", [100.0, 450.0, 800.0])
     def test_sweep_wheelbase_engines_agree(self, wheelbase_mm):
-        batched = sweep_wheelbase(wheelbase_mm, engine="batch")
-        scalar = sweep_wheelbase(wheelbase_mm, engine="scalar")
+        batched = sweep_wheelbase(wheelbase_mm)
+        scalar = oracle.sweep_wheelbase(wheelbase_mm)
         assert len(batched.points) == len(scalar.points)
         for b, s in zip(batched.points, scalar.points):
             assert (b.wheelbase_mm, b.cells, b.capacity_mah) == (
@@ -129,8 +130,10 @@ class TestSweepEngineEquality:
         assert batched.infeasible == scalar.infeasible
 
     def test_sweep_all_wheelbases_passes_engine_through(self):
-        batched = sweep_all_wheelbases(wheelbases_mm=(450.0,), engine="batch")
-        scalar = sweep_all_wheelbases(wheelbases_mm=(450.0,), engine="scalar")
+        """Keyword options reach each wheelbase's sweep (here a payload),
+        and the result equals the one-design-at-a-time oracle."""
+        batched = sweep_all_wheelbases(wheelbases_mm=(450.0,), payload_g=50.0)
+        scalar = {450.0: oracle.sweep_wheelbase(450.0, payload_g=50.0)}
         assert batched.keys() == scalar.keys()
         b, s = batched[450.0], scalar[450.0]
         assert [p.evaluation.as_dict() for p in b.points] == [
@@ -138,18 +141,14 @@ class TestSweepEngineEquality:
         ]
 
     def test_computation_footprint_identical_across_engines(self):
-        batched = computation_footprint(sweep_wheelbase(450.0, engine="batch"))
-        scalar = computation_footprint(sweep_wheelbase(450.0, engine="scalar"))
+        batched = computation_footprint(sweep_wheelbase(450.0))
+        scalar = computation_footprint(oracle.sweep_wheelbase(450.0))
         assert batched.keys() == scalar.keys()
         for chip_power in batched:
             assert batched[chip_power] == scalar[chip_power]
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown sweep engine"):
-            sweep_wheelbase(450.0, engine="numpy")
-
     def test_empty_grid_returns_empty_result(self):
-        result = sweep_wheelbase(450.0, cell_counts=[], engine="batch")
+        result = sweep_wheelbase(450.0, cell_counts=[])
         assert result.points == []
         assert result.infeasible == []
 

@@ -336,9 +336,41 @@ class TestSupervisedProcesses:
         )
 
 
+def _live_group_members(pgid: int) -> list:
+    """PIDs in process group ``pgid`` that are not zombies.
+
+    Reads ``/proc`` where it exists; elsewhere any group member, zombie or
+    not, counts as live.
+    """
+    if not os.path.isdir("/proc"):
+        try:
+            os.killpg(pgid, 0)
+        except ProcessLookupError:
+            return []
+        return [pgid]
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                stat = handle.read()
+        except OSError:
+            continue  # exited while we scanned
+        # Fields after the parenthesised command: state, ppid, pgrp, ...
+        state, _, pgrp = stat.rsplit(")", 1)[1].split()[:3]
+        if int(pgrp) == pgid and state != "Z":
+            members.append(int(entry))
+    return members
+
+
 class TestSigkillResume:
     def test_process_sigkill_then_resume(self, tmp_path):
-        """SIGKILL the whole supervisor mid-run; resume must be bit-for-bit."""
+        """SIGKILL the whole supervisor mid-run; resume must be bit-for-bit.
+
+        The driver leads its own process group, so the kill takes its pool
+        workers with it instead of leaving them orphaned and sleeping.
+        """
         journal_path = tmp_path / "journal.jsonl"
         repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         env = dict(os.environ)
@@ -358,6 +390,7 @@ class TestSigkillResume:
             [sys.executable, "-c", driver, str(journal_path)],
             cwd=repo_root,
             env=env,
+            start_new_session=True,
         )
         try:
             # Wait until at least one chunk is durably journaled, then kill.
@@ -367,10 +400,16 @@ class TestSigkillResume:
                 if entries or proc.poll() is not None:
                     break
                 time.sleep(0.05)
-            if proc.poll() is None:
-                proc.send_signal(signal.SIGKILL)
         finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass  # the whole group already exited
             proc.wait(timeout=30)
+        deadline = time.time() + 10.0
+        while _live_group_members(proc.pid) and time.time() < deadline:
+            time.sleep(0.05)
+        assert _live_group_members(proc.pid) == [], "pool workers survived"
         _, entries = CheckpointJournal(journal_path).load()
         assert entries, "driver was killed before journaling any chunk"
 

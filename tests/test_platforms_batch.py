@@ -2,7 +2,8 @@
 
 The batch engine (:mod:`repro.platforms.trace_engine`) must be
 *counter-exact*: every integer perf counter and structure statistic agrees
-bit-for-bit with the per-access scalar oracle, and cycles agree bit-for-bit
+bit-for-bit with the per-access oracle (:mod:`tests.oracles.platforms`,
+which drives the core's per-access executor), and cycles agree bit-for-bit
 whenever ``base_cpi`` is integral (integer-valued float sums below 2**53 are
 exact in any accumulation order).  Microarchitectural state written back
 after a batch run must be indistinguishable to any subsequent scalar run.
@@ -23,6 +24,7 @@ from repro.platforms.workload import (
     interleave,
     slam_trace,
 )
+from tests.oracles import platforms as oracle
 
 
 def random_trace(rng, length, name="rand", address_span=1 << 22,
@@ -87,8 +89,8 @@ def assert_structures_equal(core_a, core_b):
 def run_both(make, segments, cycles_exact=True):
     """Run identical segments through fresh scalar and batch cores."""
     core_scalar, core_batch = make(), make()
-    scalar = core_scalar.run_segments(list(segments), engine="scalar")
-    batch = core_batch.run_segments(list(segments), engine="batch")
+    scalar = oracle.run_segments(core_scalar, list(segments))
+    batch = core_batch.run_segments(list(segments))
     assert_counters_equal(batch, scalar, cycles_exact=cycles_exact)
     assert_structures_equal(core_batch, core_scalar)
     return core_batch, core_scalar
@@ -104,8 +106,8 @@ class TestCoRunEquivalence:
     def test_single_context_exact(self):
         trace = slam_trace(30_000, seed=3)
         core_scalar, core_batch = make_core(), make_core()
-        scalar = core_scalar.run_trace("slam", trace, engine="scalar")
-        batch = core_batch.run_trace("slam", trace, engine="batch")
+        scalar = oracle.run_trace(core_scalar, "slam", trace)
+        batch = core_batch.run_trace("slam", trace)
         for field in COUNTER_FIELDS:
             assert getattr(batch, field) == getattr(scalar, field)
         assert batch.cycles == scalar.cycles
@@ -152,10 +154,10 @@ class TestStateWriteback:
         warm = random_trace(rng, 10_000, name="warm")
         probe = random_trace(rng, 5_000, name="probe")
         core_batch, core_scalar = make_core(), make_core()
-        core_batch.run_trace("ctx", warm, engine="batch")
-        core_scalar.run_trace("ctx", warm, engine="scalar")
-        after_batch = core_batch.run_trace("ctx", probe, engine="scalar")
-        after_scalar = core_scalar.run_trace("ctx", probe, engine="scalar")
+        core_batch.run_trace("ctx", warm)
+        oracle.run_trace(core_scalar, "ctx", warm)
+        after_batch = oracle.run_trace(core_batch, "ctx", probe)
+        after_scalar = oracle.run_trace(core_scalar, "ctx", probe)
         for field in COUNTER_FIELDS:
             assert getattr(after_batch, field) == getattr(after_scalar, field)
         assert after_batch.cycles == after_scalar.cycles
@@ -166,23 +168,18 @@ class TestStateWriteback:
         a = random_trace(rng, 3_000, name="A")
         b = random_trace(rng, 3_000, name="B")
         core_batch, core_scalar = make_core(), make_core()
-        core_batch.run_segments(interleave(a, b, 400, 600), engine="batch")
-        core_scalar.run_segments(interleave(a, b, 400, 600), engine="scalar")
+        core_batch.run_segments(interleave(a, b, 400, 600))
+        oracle.run_segments(core_scalar, interleave(a, b, 400, 600))
         # Switching back to "A" after the batch run must flush identically.
         probe = random_trace(rng, 2_000, name="probe")
-        pb = core_batch.run_trace("A", probe, engine="scalar")
-        ps = core_scalar.run_trace("A", probe, engine="scalar")
+        pb = oracle.run_trace(core_batch, "A", probe)
+        ps = oracle.run_trace(core_scalar, "A", probe)
         assert pb.cycles == ps.cycles
         assert pb.tlb_misses == ps.tlb_misses
         assert pb.branch_misses == ps.branch_misses
 
 
 class TestDispatchAndFallbacks:
-    def test_unknown_engine_rejected(self):
-        core = make_core()
-        with pytest.raises(ValueError, match="unknown engine"):
-            core.run_trace("x", autopilot_trace(100, seed=1), engine="simd")
-
     def test_empty_segments_rejected(self):
         with pytest.raises(ValueError, match="no segments"):
             make_core().run_segments([])
@@ -210,9 +207,9 @@ class TestDispatchAndFallbacks:
         zeros = np.zeros(2, dtype=np.int64)
         trace = Trace(name="bad", kinds=kinds, addresses=addresses,
                       pcs=zeros, taken=np.zeros(2, dtype=bool))
-        for engine in ("batch", "scalar"):
+        for run_trace in (InOrderCore.run_trace, oracle.run_trace):
             with pytest.raises(ValueError, match="negative"):
-                make_core().run_trace("ctx", trace, engine=engine)
+                run_trace(make_core(), "ctx", trace)
 
     def test_supports_batch_default_core(self):
         assert trace_engine.supports_batch(InOrderCore())
